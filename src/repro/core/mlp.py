@@ -29,8 +29,8 @@ from repro.core.constraints import (
     t_var,
 )
 from repro.errors import ReproError
-from repro.lp.backends import AUTO_SPARSE_ROWS, solve
-from repro.lp.expr import LinExpr, var
+from repro.lp.backends import solve
+from repro.lp.expr import LinExpr
 from repro.lp.result import LPResult
 from repro.maxplus.fixpoint import slide
 from repro.obs import trace
@@ -48,9 +48,12 @@ class MLPOptions:
 
     ``compact`` selects among the (generally non-unique, see the paper's
     Fig. 6 discussion) optimal schedules: after the minimum Tc is found, a
-    second LP pass holds Tc fixed and minimizes the sum of phase starts,
-    phase widths and departure times, yielding a canonical "compact"
-    schedule that is deterministic across LP backends.  The optimal cycle
+    second pass holds Tc fixed and minimizes the sum of phase starts,
+    phase widths and departure times.  That LP has alternate optima too,
+    so the pass returns the *greatest* point of its optimal face -- a
+    mathematical definition, computed by min-cost flow on the cycle
+    solver's graph (see ``docs/CYCLE.md``) whatever ``backend`` is, and
+    therefore the same schedule on every backend.  The optimal cycle
     time is unaffected.
 
     ``warm_start`` enables basis reuse on repeated solves: when True and a
@@ -78,18 +81,17 @@ class MLPOptions:
     :class:`~repro.lint.sanitize.SanitizeReport` lands in
     ``result.extra["sanitize"]``.
 
-    ``backend`` names the LP backend (see
+    ``backend`` names the LP backend of the Tc pass (see
     :func:`repro.lp.backends.available_backends`).  The graph-native
     ``"cycle"`` backend solves the Tc minimization by parametric
     critical-cycle search over the difference-constraint graph (see
-    :mod:`repro.cycle`) -- no simplex tableau for the hard,
-    free-period solve.  The ``compact`` tie-break pass still runs when
-    enabled (routed to the revised simplex, since its objective is not
-    ``Tc``), keeping the canonical schedule identical across backends;
-    disable ``compact`` to stay entirely on the graph path and take the
-    cycle solver's own schedule -- the shortest-path potentials at the
-    optimum.  ``"cycle+check"`` additionally cross-checks the optimum
-    against the revised simplex *and* forces the sanitizer on,
+    :mod:`repro.cycle`) -- no simplex tableau for the hard, free-period
+    solve.  The ``compact`` pass always runs on that graph and only
+    falls back to a simplex when it cannot certify its answer (recorded
+    in ``extra["compact"]``); disable ``compact`` to take the Tc pass's
+    own schedule instead (for ``"cycle"``, the shortest-path potentials
+    at the optimum).  ``"cycle+check"`` cross-checks both passes'
+    optima against the revised simplex *and* forces the sanitizer on,
     regardless of ``sanitize``.
     """
 
@@ -138,6 +140,28 @@ class OptimalClockResult:
         return self.report.feasible if self.report is not None else True
 
 
+def build_compact_program(
+    graph: TimingGraph, options: ConstraintOptions, period: float
+) -> SMOProgram:
+    """The compact tie-break LP ``P2-compact``: Tc pinned at ``period``.
+
+    Minimizes ``sum(s_i) + sum(T_i) + sum(D_i)``: phases start as early and
+    stay as narrow as the constraints allow, and departures hug the phase
+    openings.  Any feasible point of this program is an alternate optimum
+    of P2 at ``period``, so Theorem 1 still applies.
+    """
+    smo = build_program(
+        graph, replace(options, fixed_period=period), name="P2-compact"
+    )
+    tie_break: dict[str, float] = {}
+    for phase in graph.phase_names:
+        tie_break[s_var(phase)] = tie_break[t_var(phase)] = 1.0
+    for sync in graph.synchronizers:
+        tie_break[d_var(sync.name)] = 1.0
+    smo.program.minimize(LinExpr(tie_break))
+    return smo
+
+
 def _compact_pass(
     graph: TimingGraph,
     options: ConstraintOptions,
@@ -148,40 +172,30 @@ def _compact_pass(
 ) -> LPResult:
     """Re-optimize with Tc pinned at the optimum for a canonical schedule.
 
-    Minimizes ``sum(s_i) + sum(T_i) + sum(D_i)``: phases start as early and
-    stay as narrow as the constraints allow, and departures hug the phase
-    openings.  Any feasible point of this pass is an alternate optimum of
-    P2, so Theorem 1 still applies.
+    Solves :func:`build_compact_program` and records in
+    ``extra["compact"]`` whether the graph answered (``used``), why not
+    (``reason``) and the simplex pivots a fallback took.
     """
-    pinned = replace(options, fixed_period=optimal_period)
     build_start = time.perf_counter()
-    smo2 = build_program(graph, pinned, name="P2-compact")
+    smo2 = build_compact_program(graph, options, optimal_period)
     if stages is not None:
         stages["constraint_gen"] = (
             stages.get("constraint_gen", 0.0) + time.perf_counter() - build_start
         )
-    tie_break = LinExpr()
-    for phase in graph.phase_names:
-        tie_break = tie_break + var(s_var(phase)) + var(t_var(phase))
-    for sync in graph.synchronizers:
-        tie_break = tie_break + var(d_var(sync.name))
-    smo2.program.minimize(tie_break)
-    # The cycle backends cannot honour a non-Tc objective and would only
-    # fall back; route the tie-break pass straight to a simplex -- the
-    # dense revised solver at paper scale (bit-stable against the
-    # existing golden schedules), the sparse revised solver above the
-    # dense-materialization threshold.  The sparse backend is routed the
-    # same way: the tie-break LP can still have alternate optima, and at
-    # paper scale the dense revised solver is the canonical vertex
-    # picker, keeping the reported schedule backend-independent.
-    backend = mlp.backend
-    if (backend or "").startswith(("cycle", "sparse")):
-        backend = (
-            "revised"
-            if len(smo2.program) <= AUTO_SPARSE_ROWS
-            else "sparse"
-        )
-    result = solve(smo2.program, backend=backend)
+    # The tie-break LP is a min-cost flow on the cycle solver's graph; its
+    # answer is the greatest point of the optimal face on every backend.
+    backend = "cycle+check" if mlp.backend == "cycle+check" else "cycle"
+    with trace.span("compact") as span:
+        result = solve(smo2.program, backend=backend, context=smo2)
+        info = result.extra.get("cycle", {})
+        compact = {
+            "used": bool(info.get("used")),
+            "reason": info.get("reason"),
+            "pivots": result.iterations,
+        }
+        for key, value in compact.items():
+            span.set(key, value)
+    result.extra["compact"] = compact
     if not result.ok:  # pragma: no cover - the pinned LP is always feasible
         return fallback
     # Restore the cycle-time objective value for downstream consumers.
@@ -230,7 +244,7 @@ def minimize_cycle_time(
     ).raise_for_status()
     lp_solves = 1
     lp_iterations = tc_result.iterations
-    lp_seconds = tc_result.solve_seconds
+    stages["lp_solve"] = tc_result.solve_seconds
 
     lp_result = tc_result
     cycle_info = tc_result.extra.get("cycle")
@@ -241,8 +255,7 @@ def minimize_cycle_time(
         if lp_result is not tc_result:
             lp_solves += 1
             lp_iterations += lp_result.iterations
-            lp_seconds += lp_result.solve_seconds
-    stages["lp_solve"] = lp_seconds
+            stages["compact"] = lp_result.solve_seconds
 
     schedule = schedule_from_values(graph, lp_result.values, tol=max(mlp.tol, 1e-9))
     lp_departures = {
@@ -302,6 +315,8 @@ def minimize_cycle_time(
         result.extra["basis"] = basis_out
     if isinstance(cycle_info, dict):
         result.extra["cycle"] = cycle_info
+    if "compact" in lp_result.extra:
+        result.extra["compact"] = lp_result.extra["compact"]
 
     # "cycle+check" is the self-verifying mode: LP cross-check happened in
     # the backend; schedule feasibility is asserted by forcing the

@@ -18,7 +18,9 @@ tableau:
   guard -- over a vectorized Bellman-Ford oracle, recovers a schedule
   from the shortest-path potentials at the optimum, and *certifies* the
   result against every original LP row, falling back to the LP when the
-  graph relaxation under-constrains the program.
+  graph relaxation under-constrains the program.  With the period
+  pinned, it minimizes a linear objective instead, as a min-cost flow
+  (the compact tie-break pass of Algorithm MLP).
 
 It is wired in as the ``"cycle"`` LP backend (and ``"cycle+check"``, the
 self-verifying variant) in :mod:`repro.lp.backends`.

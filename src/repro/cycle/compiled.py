@@ -78,13 +78,32 @@ def _build_structure(cg: ConstraintGraph) -> CycleStructure:
         (index[e.head] for e in cg.edges), dtype=np.int64, count=m
     )
     b = np.fromiter((e.b for e in cg.edges), dtype=np.float64, count=m)
+    return _structure_from_arrays(
+        tuple(cg.nodes),
+        index,
+        tail,
+        head,
+        b,
+        tuple(e.constraint for e in cg.edges),
+        tuple(e.family for e in cg.edges),
+    )
+
+
+def _structure_from_arrays(
+    nodes: tuple[str, ...],
+    index: dict[str, int],
+    tail: _I64,
+    head: _I64,
+    b: _F64,
+    constraints: tuple[str, ...],
+    families: tuple[str, ...],
+) -> CycleStructure:
     order = np.argsort(head, kind="stable")
-    sorted_heads = head[order]
     red_heads, red_starts, red_counts = np.unique(
-        sorted_heads, return_index=True, return_counts=True
+        head[order], return_index=True, return_counts=True
     )
     return CycleStructure(
-        nodes=tuple(cg.nodes),
+        nodes=nodes,
         index=index,
         tail=tail,
         head=head,
@@ -95,8 +114,41 @@ def _build_structure(cg: ConstraintGraph) -> CycleStructure:
         red_heads=red_heads.astype(np.int64),
         red_starts=red_starts.astype(np.int64),
         red_counts=red_counts.astype(np.int64),
-        constraints=tuple(e.constraint for e in cg.edges),
-        families=tuple(e.family for e in cg.edges),
+        constraints=constraints,
+        families=families,
+    )
+
+
+def with_reversed_edges(
+    comp: CompiledCycleGraph, edges: _I64
+) -> CompiledCycleGraph:
+    """``comp`` plus the reverse of each edge in ``edges`` (uncached).
+
+    Edge ``tail -> head`` with weight ``a + b*Tc`` gains the partner
+    ``head -> tail`` with weight ``-(a + b*Tc)``; together the two pin
+    ``head - tail`` to exactly the bound, so the result is the
+    difference system of the face where those edges are tight.  The
+    partners follow the original edges in edge order and keep their
+    constraint names.
+    """
+    st = comp.structure
+    structure = _structure_from_arrays(
+        st.nodes,
+        st.index,
+        np.concatenate([st.tail, st.head[edges]]),
+        np.concatenate([st.head, st.tail[edges]]),
+        np.concatenate([st.b, -st.b[edges]]),
+        st.constraints + tuple(st.constraints[i] for i in edges),
+        st.families + tuple(st.families[i] for i in edges),
+    )
+    a = np.concatenate([comp.a, -comp.a[edges]])
+    return CompiledCycleGraph(
+        structure=structure,
+        graph=comp.graph,
+        a=a,
+        a_in=a[structure.order],
+        tc_floor=comp.tc_floor,
+        tc_cap=comp.tc_cap,
     )
 
 

@@ -23,6 +23,11 @@ the graph optimum is a relaxation lower bound, a certified-feasible
 point at that objective **is** the LP optimum -- no simplex required.
 If certification fails, the graph under-constrained the program and the
 solver transparently falls back to the revised simplex.
+
+A program whose period is pinned (the compact tie-break pass of
+Algorithm MLP) has no period to search; its linear objective is solved
+as the dual min-cost flow on the same graph instead, and the greatest
+point of the optimal face is returned (:func:`_solve_pinned`).
 """
 
 from __future__ import annotations
@@ -31,13 +36,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import networkx as nx
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.constraints import TC, SMOProgram, d_var, s_var, t_var
 from repro.cycle.compiled import (
     CompiledCycleGraph,
+    CycleStructure,
     compile_cycle_graph,
+    with_reversed_edges,
 )
 from repro.errors import SolverError
 from repro.lint.graphdiag import (
@@ -45,6 +53,7 @@ from repro.lint.graphdiag import (
     constraint_graph_for,
     dep_node,
     end_node,
+    event_substitution,
     start_node,
     structure_fingerprint,
 )
@@ -153,24 +162,34 @@ def _predecessor_cycle(
 
 
 def _bellman_ford(
-    comp: CompiledCycleGraph, t: float, tol: float = TOL
+    comp: CompiledCycleGraph,
+    t: float,
+    tol: float = TOL,
+    source: int | None = None,
 ) -> _BFOutcome:
     """Vectorized Bellman-Ford at period ``t`` over the CSR arrays.
 
     All distances start at 0 (virtual source), so the result is the
     greatest potential vector ``<= 0`` satisfying every edge -- exactly
-    what schedule recovery needs.  One round is two ``minimum.reduceat``
-    sweeps over the head-sorted edges; a predecessor-graph cycle check
-    runs periodically so infeasible periods are detected long before the
-    |V|-round worst case.
+    what schedule recovery needs.  With a ``source`` node, distances
+    start at ``+inf`` except 0 there, so the result is the greatest
+    solution with that node at 0 (``inf`` where nothing bounds a node).
+    One round is two ``minimum.reduceat`` sweeps over the head-sorted
+    edges; a predecessor-graph cycle check runs periodically so
+    infeasible periods are detected long before the |V|-round worst
+    case.
     """
     st = comp.structure
     n = st.n_nodes
     m = st.n_edges
+    if source is None:
+        dist = np.zeros(n)
+    else:
+        dist = np.full(n, np.inf)
+        dist[source] = 0.0
     if m == 0:
-        return _BFOutcome(True, np.zeros(n), (), 0)
+        return _BFOutcome(True, dist, (), 0)
     w = comp.a_in + st.b_in * t
-    dist = np.zeros(n)
     pred = np.full(n, -1, dtype=np.int64)
     slots = np.arange(m, dtype=np.int64)
     eps = tol * max(1.0, abs(t))
@@ -355,6 +374,226 @@ def _tc_objective_coeff(program: LinearProgram) -> float | None:
     return None
 
 
+def _certify_period(
+    program: LinearProgram,
+    smo: SMOProgram,
+    comp: CompiledCycleGraph,
+    period: CyclePeriod,
+    objective_coeff: float,
+) -> tuple[LPResult | None, str | None]:
+    """The LP answer of a parametric search, or why it cannot be one."""
+    if period.status != "optimal":
+        # The graph is a relaxation of the LP: if *it* is infeasible,
+        # the LP certainly is -- report that without any fallback.
+        return LPResult(
+            status=LPStatus.INFEASIBLE,
+            backend="cycle",
+            iterations=period.jumps,
+            extra={
+                "cycle": {
+                    "used": True,
+                    "status": period.status,
+                    "message": period.message,
+                    "jumps": period.jumps,
+                    "bisections": period.bisections,
+                    "bf_rounds": period.bf_rounds,
+                    "cycle_constraints": [
+                        comp.structure.constraints[i] for i in period.cycle
+                    ],
+                }
+            },
+        ), None
+    assert period.dist is not None
+    values = _recover_values(comp, smo, period.value, period.dist)
+    worst, worst_row = _max_violation(program, values)
+    if worst > CERTIFY_TOL * max(1.0, abs(period.value)):
+        return None, (
+            f"decoded schedule violates {worst_row} by {worst:.3g}: "
+            f"the cycle bound {period.value!r} under-constrains the LP"
+        )
+    result = LPResult(
+        status=LPStatus.OPTIMAL,
+        objective=objective_coeff * period.value + program.objective.constant,
+        values=values,
+        iterations=period.jumps,
+        backend="cycle",
+        extra={
+            "cycle": {
+                "used": True,
+                "tc": period.value,
+                "jumps": period.jumps,
+                "bisections": period.bisections,
+                "bf_rounds": period.bf_rounds,
+                "certified_rows": len(program.constraints),
+                "max_violation": worst,
+                "critical_cycle": [
+                    comp.structure.constraints[i] for i in period.cycle
+                ],
+                "skipped_rows": list(comp.graph.skipped),
+            }
+        },
+    )
+    attach_slacks(result, program)
+    return result, None
+
+
+# ----------------------------------------------------------------------
+# Pinned period: the linear objective as a min-cost flow
+# ----------------------------------------------------------------------
+def _objective_supplies(
+    program: LinearProgram, smo: SMOProgram, index: dict[str, int]
+) -> tuple[_F64 | None, str]:
+    """Node supplies of the objective under the event-time substitution.
+
+    The objective's coefficient on each event time, so that it reads
+    ``sum(supply[v] * x[v])``; ``origin`` (fixed at 0) takes the balance.
+    Returns ``None`` and the reason when a term is not an integer
+    multiple of a graph variable.
+    """
+    substitution = event_substitution(smo.graph)
+    supply = np.zeros(len(index))
+    for name, coeff in program.objective.terms.items():
+        if name == TC:
+            continue  # Tc is pinned: a constant
+        nodes = substitution.get(name)
+        if nodes is None:
+            return None, f"objective term {name} is not a graph variable"
+        if not float(coeff).is_integer():
+            return None, (
+                f"objective coefficient {coeff!r} of {name} is not an integer"
+            )
+        for node, sign in nodes:
+            supply[index[node]] += coeff * sign
+    supply[index[ORIGIN]] = -supply.sum()
+    return supply, ""
+
+
+def _min_cost_flow(st: CycleStructure, cost: _I64, supply: _F64) -> _F64:
+    """An optimal uncapacitated flow per edge, in original edge order.
+
+    Self-loops never carry flow and of parallel edges only the cheapest
+    can, so the network keeps one edge per node pair.  Raises
+    :class:`networkx.NetworkXUnfeasible` when no feasible flow exists.
+    """
+    live = np.flatnonzero(st.tail != st.head)
+    live = live[np.lexsort((cost[live], st.head[live], st.tail[live]))]
+    tails, heads = st.tail[live], st.head[live]
+    first = np.ones(live.size, dtype=bool)
+    first[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+    edges = live[first].tolist()
+    tail, head, weight = st.tail.tolist(), st.head.tolist(), cost.tolist()
+    net = nx.DiGraph()
+    net.add_nodes_from(
+        (v, {"demand": -round(s)}) for v, s in enumerate(supply.tolist())
+    )
+    net.add_edges_from((tail[e], head[e], {"weight": weight[e]}) for e in edges)
+    _, flow_of = nx.network_simplex(net)
+    flow = np.zeros(st.n_edges)
+    for e in edges:
+        flow[e] = flow_of[tail[e]][head[e]]
+    return flow
+
+
+def _solve_pinned(
+    program: LinearProgram,
+    smo: SMOProgram,
+    comp: CompiledCycleGraph,
+    tol: float,
+) -> tuple[LPResult | None, str | None]:
+    """Minimize a linear objective at a pinned period by min-cost flow.
+
+    The program is ``min sum(c_v x_v)`` over difference constraints
+    ``x_head - x_tail <= w_e``; its dual is the uncapacitated min-cost
+    flow with supplies ``c`` and costs ``w``.  Costs are reduced by the
+    Bellman-Ford potentials (so they are >= 0) and scaled to integers
+    for the network simplex.  Edges that carry flow must be tight at
+    every optimum, so the optimal face is the difference system with
+    those edges reversed as well; its greatest element (a single-source
+    Bellman-Ford from ``origin``) is the returned point -- a canonical
+    choice among alternate optima.  The point is certified against
+    every row, the flow against the supplies, and primal = dual
+    objective then proves both optimal.  Returns ``None`` and the
+    reason whenever any step fails.
+    """
+    cg = comp.graph
+    t = comp.tc_floor
+    scale = max(1.0, abs(t))
+    if comp.tc_cap is None or abs(comp.tc_cap - t) > tol * scale:
+        return None, (
+            "objective is not a positive multiple of Tc and Tc is not pinned"
+        )
+    if cg.skipped:
+        return None, (
+            f"{len(cg.skipped)} row(s) are not difference constraints "
+            f"(first: {cg.skipped[0]})"
+        )
+    if cg.contradictions:
+        name, detail = cg.contradictions[0]
+        return None, f"constraint {name} is unsatisfiable: {detail}"
+    st = comp.structure
+    supply, why = _objective_supplies(program, smo, st.index)
+    if supply is None:
+        return None, why
+    potentials = _bellman_ford(comp, t, tol)
+    if not potentials.feasible:
+        return None, f"the constraints have a negative cycle at Tc = {t!r}"
+    assert potentials.dist is not None
+    pi = potentials.dist
+    w = comp.a + st.b * t
+    reduced = np.maximum(w + pi[st.tail] - pi[st.head], 0.0)
+    # Integer costs with float64's resolution: the largest maps to 2**52.
+    cost_scale = 2.0**52 / max(1.0, float(reduced.max(initial=0.0)))
+    cost = np.rint(reduced * cost_scale).astype(np.int64)
+    try:
+        flow = _min_cost_flow(st, cost, supply)
+    except (nx.NetworkXUnfeasible, nx.NetworkXUnbounded) as exc:
+        return None, f"min-cost flow failed: {exc}"
+    n = st.n_nodes
+    net_out = np.bincount(st.tail, flow, n) - np.bincount(st.head, flow, n)
+    if not np.array_equal(net_out, supply):
+        return None, "the flow does not meet the supplies"
+    support = np.flatnonzero(flow > 0.0)
+    face = with_reversed_edges(comp, support)
+    greatest = _bellman_ford(face, t, tol, source=st.index[ORIGIN])
+    if not greatest.feasible:
+        return None, "the flow's tight edges close a negative cycle"
+    assert greatest.dist is not None
+    unbounded = np.flatnonzero(~np.isfinite(greatest.dist))
+    if unbounded.size:
+        node = st.nodes[int(unbounded[0])]
+        return None, f"the optimal face leaves {node} unbounded above"
+    values = _recover_values(comp, smo, t, greatest.dist)
+    worst, worst_row = _max_violation(program, values)
+    if worst > CERTIFY_TOL * scale:
+        return None, f"decoded schedule violates {worst_row} by {worst:.3g}"
+    objective = program.objective
+    primal = objective.evaluate(values)
+    dual = objective.constant + objective.coefficient(TC) * t - float(w @ flow)
+    gap = abs(primal - dual)
+    if gap > CERTIFY_TOL * max(1.0, abs(primal)):
+        return None, f"primal {primal!r} and dual {dual!r} objectives differ"
+    result = LPResult(
+        status=LPStatus.OPTIMAL,
+        objective=primal,
+        values=values,
+        iterations=0,
+        backend="cycle",
+        extra={
+            "cycle": {
+                "used": True,
+                "tc": t,
+                "flow_edges": int(support.size),
+                "bf_rounds": potentials.rounds + greatest.rounds,
+                "certified_rows": len(program.constraints),
+                "max_violation": worst,
+                "duality_gap": gap,
+            }
+        },
+    )
+    attach_slacks(result, program)
+    return result, None
+
+
 # ----------------------------------------------------------------------
 # The backend entry point
 # ----------------------------------------------------------------------
@@ -365,94 +604,44 @@ def solve_cycle(
     check: bool = False,
     tol: float = TOL,
 ) -> LPResult:
-    """Solve ``min Tc`` by parametric critical-cycle search.
+    """Solve an SMO program on its difference-constraint graph.
 
-    ``context`` must be the :class:`SMOProgram` that owns ``program`` --
-    the event-time substitution needs the timing graph and cannot be
-    recovered from the bare LP.  Whenever the graph route cannot *prove*
-    its answer optimal -- missing context, a non-Tc objective, or a
-    decoded schedule that violates a row the lowering skipped -- the
-    call transparently falls back to the revised simplex, so
-    ``backend="cycle"`` is always correct, merely sometimes no faster.
-    With ``check=True`` (the ``"cycle+check"`` backend) the LP reference
-    is solved unconditionally and any disagreement beyond ``1e-9``
-    relative raises :class:`SolverError`.
+    Two kinds of program have a graph answer: ``min Tc`` (parametric
+    critical-cycle search) and, with Tc pinned by its constraints, any
+    objective with integer coefficients on the graph variables
+    (min-cost flow; see :func:`_solve_pinned`).  ``context`` must be the
+    :class:`SMOProgram` that owns ``program`` -- the event-time
+    substitution needs the timing graph and cannot be recovered from the
+    bare LP.  Whenever the graph route cannot *prove* its answer optimal
+    -- missing context, another objective, a skipped row, or a decoded
+    schedule that violates a row -- the call transparently falls back to
+    the revised simplex, so ``backend="cycle"`` is always correct,
+    merely sometimes no faster.  With ``check=True`` (the
+    ``"cycle+check"`` backend) the LP reference is solved
+    unconditionally and any disagreement beyond ``1e-9`` relative raises
+    :class:`SolverError`.
     """
     smo = context if isinstance(context, SMOProgram) else None
     reason: str | None = None
     period: CyclePeriod | None = None
-    objective_coeff = _tc_objective_coeff(program)
     if smo is None:
         reason = "no SMOProgram context supplied"
     elif smo.program is not program:
         reason = "program is not the context's SMO program"
-    elif objective_coeff is None:
-        reason = "objective is not a positive multiple of Tc"
 
     result: LPResult | None = None
-    if reason is None:
-        assert smo is not None and objective_coeff is not None
-        cg = constraint_graph_for(smo)
-        comp = compile_cycle_graph(cg, key=structure_fingerprint(smo))
-        period = minimum_feasible_period(comp, tol=tol)
-        if period.status != "optimal":
-            # The graph is a relaxation of the LP: if *it* is infeasible,
-            # the LP certainly is -- report that without any fallback.
-            result = LPResult(
-                status=LPStatus.INFEASIBLE,
-                backend="cycle",
-                iterations=period.jumps,
-                extra={
-                    "cycle": {
-                        "used": True,
-                        "status": period.status,
-                        "message": period.message,
-                        "jumps": period.jumps,
-                        "bisections": period.bisections,
-                        "bf_rounds": period.bf_rounds,
-                        "cycle_constraints": [
-                            comp.structure.constraints[i]
-                            for i in period.cycle
-                        ],
-                    }
-                },
-            )
+    if smo is not None and reason is None:
+        comp = compile_cycle_graph(
+            constraint_graph_for(smo), key=structure_fingerprint(smo)
+        )
+        objective_coeff = _tc_objective_coeff(program)
+        if objective_coeff is None:
+            result, reason = _solve_pinned(program, smo, comp, tol)
         else:
-            assert period.dist is not None
-            values = _recover_values(comp, smo, period.value, period.dist)
-            worst, worst_row = _max_violation(program, values)
-            scale = max(1.0, abs(period.value))
-            if worst <= CERTIFY_TOL * scale:
-                result = LPResult(
-                    status=LPStatus.OPTIMAL,
-                    objective=objective_coeff * period.value
-                    + program.objective.constant,
-                    values=values,
-                    iterations=period.jumps,
-                    backend="cycle",
-                    extra={
-                        "cycle": {
-                            "used": True,
-                            "tc": period.value,
-                            "jumps": period.jumps,
-                            "bisections": period.bisections,
-                            "bf_rounds": period.bf_rounds,
-                            "certified_rows": len(program.constraints),
-                            "max_violation": worst,
-                            "critical_cycle": [
-                                comp.structure.constraints[i]
-                                for i in period.cycle
-                            ],
-                            "skipped_rows": list(cg.skipped),
-                        }
-                    },
-                )
-                attach_slacks(result, program)
-            else:
-                reason = (
-                    f"decoded schedule violates {worst_row} by {worst:.3g}: "
-                    f"the cycle bound {period.value!r} under-constrains the LP"
-                )
+            period = minimum_feasible_period(comp, tol=tol)
+            result, reason = _certify_period(
+                program, smo, comp, period, objective_coeff
+            )
 
     if result is None:
         # Graceful fallback: the graph route could not certify an answer.

@@ -162,6 +162,9 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
     sanitize = result.extra.get("sanitize")
     if sanitize is not None:
         payload["sanitize"] = sanitize.to_dict()
+    compact = result.extra.get("compact")
+    if isinstance(compact, dict):
+        payload["compact"] = compact
     hits = int(result.extra.get("warm_start_hits", 0))
     lp_iterations = int(result.extra.get("lp_iterations", 0))
     pivots_saved = 0
@@ -183,6 +186,9 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
             warm_start_misses=int(result.extra.get("warm_start_misses", 0)),
             pivots_saved=pivots_saved,
             refactorizations=int(result.extra.get("refactorizations", 0)),
+            compact_fallbacks=int(
+                isinstance(compact, dict) and not compact["used"]
+            ),
         ),
         label=job.label,
     )

@@ -9,8 +9,9 @@ Stage names used by the executors:
 
 * ``constraint_gen`` -- building the SMO constraint system (LP rows or the
   max-plus system);
-* ``lp_solve``       -- time inside the LP backend (both the Tc pass and
-  the compact tie-break pass);
+* ``lp_solve``       -- time inside the LP backend for the Tc pass;
+* ``compact``        -- the compact tie-break pass (min-cost flow on the
+  cycle solver's graph, or its simplex fallback);
 * ``slide``          -- the Algorithm-MLP departure slide / fixpoint
   iteration;
 * ``analysis``       -- fixed-schedule verification (analyze jobs, and the
@@ -26,7 +27,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 
 #: Canonical stage ordering for reports.
-STAGES = ("constraint_gen", "lp_solve", "slide", "analysis")
+STAGES = ("constraint_gen", "lp_solve", "compact", "slide", "analysis")
 
 
 class StageTimer:
@@ -75,6 +76,7 @@ def job_metrics(
     warm_start_misses: int = 0,
     pivots_saved: int = 0,
     refactorizations: int = 0,
+    compact_fallbacks: int = 0,
 ) -> dict:
     """The flat metrics dict attached to a :class:`~repro.engine.jobspec.JobResult`.
 
@@ -82,7 +84,8 @@ def job_metrics(
     the Tc pass; ``pivots_saved`` estimates skipped pivots against the
     chain's cold anchor (``MinimizeJob.cold_pivots_hint``);
     ``refactorizations`` counts basis-inverse rebuilds inside the revised
-    simplex backend.
+    simplex backend; ``compact_fallbacks`` counts compact passes the
+    graph could not certify, so a simplex answered them.
     """
     return {
         "wall_seconds": wall_seconds,
@@ -94,6 +97,7 @@ def job_metrics(
         "warm_start_misses": warm_start_misses,
         "pivots_saved": pivots_saved,
         "refactorizations": refactorizations,
+        "compact_fallbacks": compact_fallbacks,
     }
 
 
@@ -120,6 +124,7 @@ class EngineReport:
     warm_start_misses: int = 0
     pivots_saved: int = 0
     refactorizations: int = 0
+    compact_fallbacks: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     workers: int = 1
@@ -155,6 +160,11 @@ class EngineReport:
             f"lp: {self.lp_solves} solves, {self.lp_iterations} simplex "
             f"pivots; slide: {self.slide_sweeps} sweeps",
         ]
+        if self.compact_fallbacks:
+            lines.append(
+                f"compact: {self.compact_fallbacks} passes fell back to "
+                "the simplex (see each result's payload['compact'])"
+            )
         if self.crashes or self.timeouts or self.soft_failures:
             lines.append(
                 f"pool failover: {self.crashes} crashes, "
@@ -221,6 +231,7 @@ class MetricsAggregator:
             r.warm_start_misses += int(metrics.get("warm_start_misses", 0))
             r.pivots_saved += int(metrics.get("pivots_saved", 0))
             r.refactorizations += int(metrics.get("refactorizations", 0))
+            r.compact_fallbacks += int(metrics.get("compact_fallbacks", 0))
 
     def set_cache_stats(self, hits: int, misses: int) -> None:
         self._report.cache_hits = hits

@@ -275,23 +275,33 @@ class GraphSkeleton:
     skipped: tuple[str, ...]
 
 
-def _build_skeleton(smo: SMOProgram) -> GraphSkeleton:
-    """Derive the event-time substitution and classify every row once."""
-    graph = smo.graph
-    nodes = [ORIGIN]
+def event_substitution(
+    graph: TimingGraph,
+) -> dict[str, tuple[tuple[str, float], ...]]:
+    """Each LP variable but ``Tc`` as a signed sum of event-time nodes.
+
+    ``s_p = start[p]``, ``T_p = end[p] - start[p]`` and
+    ``D_n = dep[n] - start[p_n]``; the keys come in node order (per
+    phase its start then end, then one departure per synchronizer).
+    """
     substitution: dict[str, tuple[tuple[str, float], ...]] = {}
     for phase in graph.phase_names:
         s_node, e_node = start_node(phase), end_node(phase)
-        nodes.extend((s_node, e_node))
         substitution[s_var(phase)] = ((s_node, 1.0),)
         substitution[t_var(phase)] = ((e_node, 1.0), (s_node, -1.0))
     for sync in graph.synchronizers:
-        node = dep_node(sync.name)
-        nodes.append(node)
         substitution[d_var(sync.name)] = (
-            (node, 1.0),
+            (dep_node(sync.name), 1.0),
             (start_node(sync.phase), -1.0),
         )
+    return substitution
+
+
+def _build_skeleton(smo: SMOProgram) -> GraphSkeleton:
+    """Derive the event-time substitution and classify every row once."""
+    graph = smo.graph
+    substitution = event_substitution(graph)
+    nodes = [ORIGIN] + [nodes_of[0][0] for nodes_of in substitution.values()]
 
     family_of = {
         name: tag for tag, names in smo.families.items() for name in names

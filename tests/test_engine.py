@@ -292,7 +292,7 @@ class TestMetrics:
     def test_minimize_reports_stages(self, ex1):
         result = minimize_cycle_time(ex1)
         stages = result.extra["stages"]
-        for stage in ("constraint_gen", "lp_solve", "slide", "analysis"):
+        for stage in ("constraint_gen", "lp_solve", "compact", "slide", "analysis"):
             assert stages[stage] >= 0.0
         assert result.extra["lp_solves"] == 2  # Tc pass + compact pass
         assert result.extra["lp_iterations"] > 0

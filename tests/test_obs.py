@@ -148,7 +148,7 @@ class TestMlpTracing:
         with trace.span("run"):
             result = minimize_cycle_time(ex1)
         names = [s.name for s in tracer.roots[0].walk()]
-        for expected in ("constraint_gen", "lp_solve", "slide", "analysis"):
+        for expected in ("constraint_gen", "lp_solve", "compact", "slide", "analysis"):
             assert expected in names
         pivots = sum(
             1
