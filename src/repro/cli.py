@@ -146,12 +146,7 @@ def _preflight_lint(graph, options, args: argparse.Namespace) -> int:
         obs.emit("lint.failed", level="error", file=args.file,
                  errors=len(report.errors))
         return 2
-    if (
-        options.fixed_period is not None
-        or options.max_period is not None
-        or options.fixed_starts
-        or options.fixed_widths
-    ):
+    if options.pins_clock:
         diagnostics = diagnose(graph, options)
         if diagnostics.certificate is not None:
             _error(f"error: lint: {diagnostics.certificate.message}")
@@ -677,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="static analysis: rules, certificates, Tc lower bounds",
         description="Run the lint rule registry and the constraint-graph "
-        "diagnostics (negative-cycle infeasibility certificates, Karp Tc "
-        "lower bound) over .lcd files and/or manifests.  Exit code 1 when "
+        "diagnostics (negative-cycle infeasibility certificates, cycle-ratio "
+        "Tc lower bound) over .lcd files and/or manifests.  Exit code 1 when "
         "any design has an error-severity finding.  See docs/LINT.md.",
     )
     p.add_argument("files", nargs="+",

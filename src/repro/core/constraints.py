@@ -111,6 +111,21 @@ class ConstraintOptions:
         if self.min_separation < 0:
             raise LPError(f"min_separation must be >= 0, got {self.min_separation}")
 
+    @property
+    def pins_clock(self) -> bool:
+        """True when the options pin or cap clock values.
+
+        Only then can the constraint system be infeasible -- an
+        unconstrained P2 always has a (large enough) feasible period -- so
+        only then is a pre-flight graph diagnosis worth running.
+        """
+        return (
+            self.fixed_period is not None
+            or self.max_period is not None
+            or bool(self.fixed_starts)
+            or bool(self.fixed_widths)
+        )
+
     def skew_of(self, phase: str) -> SkewBound:
         """The skew bound of a phase (zero bound when none is configured)."""
         if not self.skew:

@@ -1,14 +1,15 @@
 """Graph-native minimum-Tc solver (see ``docs/CYCLE.md``).
 
 The minimum cycle time of the paper's MLP is determined by a critical
-cycle of the parametric difference-constraint graph built by
-:mod:`repro.lint.graphdiag`: with edge weights ``a + b*Tc`` and every
-``b >= 0``, the system is feasible at period ``t`` iff no cycle is
-negative, so the optimum is ``max_C -A(C)/B(C)`` over cycles ``C``.  This
-package computes that optimum -- and a feasible schedule witnessing it --
-directly on CSR adjacency arrays, without ever building a simplex
-tableau:
+cycle of the parametric difference-constraint graph of the SMO program:
+with edge weights ``a + b*Tc`` and every ``b >= 0``, the system is
+feasible at period ``t`` iff no cycle is negative, so the optimum is
+``max_C -A(C)/B(C)`` over cycles ``C``.  This package computes that
+optimum -- and a feasible schedule witnessing it -- directly on CSR
+adjacency arrays, without ever building a simplex tableau:
 
+* :mod:`repro.cycle.graph` lowers an SMO program to the graph, by an
+  event-time substitution whose skeleton is cached by structure;
 * :mod:`repro.cycle.compiled` lowers the constraint graph to flat numpy
   arrays (the layout of :mod:`repro.maxplus.compiled`), cached by the
   structural fingerprint so sweeps and re-cost copies only re-fill the
@@ -23,7 +24,9 @@ tableau:
   (the compact tie-break pass of Algorithm MLP).
 
 It is wired in as the ``"cycle"`` LP backend (and ``"cycle+check"``, the
-self-verifying variant) in :mod:`repro.lp.backends`.
+self-verifying variant) in :mod:`repro.lp.backends`, and it is the only
+oracle behind the pre-solve Tc bound and infeasibility certificates of
+the lint subsystem.
 """
 
 from repro.cycle.compiled import (

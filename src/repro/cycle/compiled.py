@@ -4,7 +4,7 @@ Mirrors the :mod:`repro.maxplus.compiled` split: the *structure* (node
 table, edge endpoints, ``b`` coefficients and the in-edge grouping used
 by the vectorized Bellman-Ford) depends only on the program's shape and
 is cached in a bounded LRU keyed by the same structural fingerprint as
-the :mod:`repro.lint.graphdiag` skeleton cache; the ``a`` weight vector
+the :mod:`repro.cycle.graph` skeleton cache; the ``a`` weight vector
 is re-extracted per instance, so a parametric re-cost costs one
 O(edges) ``fromiter`` and nothing else.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.lint.graphdiag import ConstraintGraph
+from repro.cycle.graph import ConstraintGraph
 
 _I64 = npt.NDArray[np.int64]
 _F64 = npt.NDArray[np.float64]
@@ -163,7 +163,7 @@ def compile_cycle_graph(
     """Lower a constraint graph to CSR arrays.
 
     ``key`` is the structural fingerprint of the originating program (see
-    :func:`repro.lint.graphdiag.structure_fingerprint`); when given, the
+    :func:`repro.cycle.graph.structure_fingerprint`); when given, the
     shape arrays are looked up in -- or inserted into -- the shared LRU,
     and only the ``a`` vector is extracted from this particular graph.
     Without a key the structure is built uncached.

@@ -47,8 +47,7 @@ from repro.cycle.compiled import (
     compile_cycle_graph,
     with_reversed_edges,
 )
-from repro.errors import SolverError
-from repro.lint.graphdiag import (
+from repro.cycle.graph import (
     ORIGIN,
     constraint_graph_for,
     dep_node,
@@ -57,6 +56,7 @@ from repro.lint.graphdiag import (
     start_node,
     structure_fingerprint,
 )
+from repro.errors import SolverError
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 from repro.obs import metrics, trace
@@ -98,7 +98,7 @@ class _BFOutcome:
 
     feasible: bool
     dist: _F64 | None
-    cycle: tuple[int, ...]  #: original-order edge indices, cycle order
+    cycle: tuple[int, ...]  #: edge indices in cycle order, lowest first
     rounds: int
 
 
@@ -177,7 +177,9 @@ def _bellman_ford(
     One round is two ``minimum.reduceat`` sweeps over the head-sorted
     edges; a predecessor-graph cycle check runs periodically so
     infeasible periods are detected long before the |V|-round worst
-    case.
+    case.  A negative cycle is rotated to start at its lowest original
+    edge index, so its listing does not depend on where the predecessor
+    walk entered it.
     """
     st = comp.structure
     n = st.n_nodes
@@ -211,8 +213,10 @@ def _bellman_ford(
         if rounds % check_every == 0 or rounds >= n:
             cycle_slots = _predecessor_cycle(pred, st.in_tail, n)
             if cycle_slots is not None:
-                cycle = tuple(int(st.order[s]) for s in cycle_slots)
-                return _BFOutcome(False, None, cycle, rounds)
+                cycle = [int(st.order[s]) for s in cycle_slots]
+                first = cycle.index(min(cycle))
+                canonical = tuple(cycle[first:] + cycle[:first])
+                return _BFOutcome(False, None, canonical, rounds)
     raise SolverError(  # pragma: no cover - relaxation must settle by 3|V|
         f"Bellman-Ford did not settle within {max_rounds} rounds at t={t!r}"
     )
@@ -236,8 +240,8 @@ def minimum_feasible_period(
     Ratio jumps from the scalar floor; after ``bisect_after`` jumps a
     feasible upper bound (``floor + sum of negative edge weights``) seeds
     a binary search that shrinks the bracket before the jumps finish
-    exactly.  Scalar caps and constant-row contradictions are honoured
-    the same way :func:`repro.lint.graphdiag.diagnose` reports them.
+    exactly.  Scalar caps and constant-row contradictions end the search
+    early, as ``"capped"`` and ``"contradiction"``.
     """
     cg = comp.graph
     if cg.contradictions:

@@ -31,7 +31,7 @@ from repro.devlint.rules import make_finding, rule
 
 #: Receiver names treated as LP standard forms for the ``.a`` check
 #: (kept narrow: ``.a`` is a common attribute name elsewhere, e.g. the
-#: timing-graph edge bound in graphdiag).
+#: difference-constraint edge bound in repro.cycle.graph).
 _FORM_RECEIVERS = frozenset({"sf", "form", "standard_form", "std_form"})
 
 _DENSE_ESCAPES = frozenset({"to_arrays", "toarray", "todense"})

@@ -83,22 +83,6 @@ def execute_job(job: Job, key: str | None = None) -> JobResult:
     return result
 
 
-def _clock_is_pinned(job: MinimizeJob) -> bool:
-    """True when the job's options pin or cap clock values.
-
-    Only then can the constraint system be infeasible -- an unconstrained
-    P2 always has a (large enough) feasible period -- so only then is the
-    pre-flight graph diagnosis worth its Bellman-Ford pass.
-    """
-    options = job.options
-    return options is not None and (
-        options.fixed_period is not None
-        or options.max_period is not None
-        or bool(options.fixed_starts)
-        or bool(options.fixed_widths)
-    )
-
-
 def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
     graph = job.graph
     if job.arc_override is not None:
@@ -111,13 +95,12 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
         mlp = replace(mlp or MLPOptions(), kernel=job.kernel)
     smo = None
     lint_payload = None
-    if _clock_is_pinned(job):
+    if job.options is not None and job.options.pins_clock:
         # Pre-flight: a negative cycle in the difference-constraint graph
         # proves the LP infeasible before any simplex runs; the certificate
         # ships in the payload either way, and the built program is reused
         # by the solve below when the job survives the check.
         with trace.span("lint.preflight") as lint_span:
-            assert job.options is not None
             smo = build_program(graph, job.options)
             diagnostics = diagnose(graph, job.options, smo=smo)
             lint_span.set("feasible", diagnostics.feasible)

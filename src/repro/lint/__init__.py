@@ -2,12 +2,13 @@
 
 Three passes, usable independently or together through :func:`run_lint`:
 
-1. **Constraint-graph diagnostics** (:mod:`repro.lint.graphdiag`): lower
-   the generated LP to a parametric difference-constraint graph, detect
-   infeasibility by Bellman-Ford with a negative-cycle certificate naming
-   the offending C1-C4/L1-L3 rows, and compute a provable Tc lower bound
-   (equal to the LP optimum when nothing is skipped) by Karp's
-   minimum-cycle-mean -- no LP solve required.
+1. **Constraint-graph diagnostics** (:mod:`repro.lint.graphdiag`): on the
+   parametric difference-constraint graph of the generated LP
+   (:mod:`repro.cycle.graph`), one cycle-ratio search of
+   :mod:`repro.cycle` yields a provable Tc lower bound (equal to the LP
+   optimum when nothing is skipped) with its critical cycle, and any
+   infeasibility as a negative-cycle certificate naming the offending
+   C1-C4/L1-L3 rows -- no LP solve required.
 2. **Rule engine** (:mod:`repro.lint.rules`): coded structural and
    schedule-dependent checks (``LINT1xx``/``LINT2xx``), absorbing the
    legacy :func:`repro.circuit.validate.check_structure` messages.
@@ -15,22 +16,20 @@ Three passes, usable independently or together through :func:`run_lint`:
    of a solved schedule against every P1 constraint with per-row slack.
 """
 
-from repro.lint.graphdiag import (
+from repro.cycle.graph import (
     ConstraintGraph,
     DiffEdge,
-    GraphDiagnostics,
-    InfeasibilityCertificate,
-    TcBound,
     build_constraint_graph,
     clear_graph_cache,
     constraint_graph_for,
-    diagnose,
-    find_negative_cycle,
     graph_cache_stats,
-    karp_min_cycle_mean,
-    structural_negative_cycle,
     structure_fingerprint,
-    tc_lower_bound,
+)
+from repro.lint.graphdiag import (
+    GraphDiagnostics,
+    InfeasibilityCertificate,
+    TcBound,
+    diagnose,
 )
 from repro.lint.report import LintFinding, LintReport, Severity
 from repro.lint.rules import LintRule, get_rule, registered_rules, run_lint, run_rules
@@ -58,10 +57,8 @@ __all__ = [
     "clear_graph_cache",
     "constraint_graph_for",
     "diagnose",
-    "find_negative_cycle",
     "get_rule",
     "graph_cache_stats",
-    "karp_min_cycle_mean",
     "structure_fingerprint",
     "registered_rules",
     "run_lint",
@@ -69,6 +66,4 @@ __all__ = [
     "sanitize_result",
     "sanitize_solution",
     "solution_assignment",
-    "structural_negative_cycle",
-    "tc_lower_bound",
 ]

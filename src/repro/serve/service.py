@@ -376,12 +376,7 @@ class AnalysisService:
         options = getattr(job, "options", None)
         report = run_rules(graph, None, options)
         findings = [finding.message for finding in report.errors]
-        if options is not None and (
-            options.fixed_period is not None
-            or options.max_period is not None
-            or options.fixed_starts
-            or options.fixed_widths
-        ):
+        if options is not None and options.pins_clock:
             diagnostics = diagnose(graph, options)
             if diagnostics.certificate is not None:
                 findings.append(diagnostics.certificate.message)

@@ -1,9 +1,10 @@
 """Tests for the repro.lint subsystem (see docs/LINT.md).
 
-Covers the difference-constraint graph construction, Bellman-Ford
-infeasibility certificates, the Karp/Lawler Tc lower bound (checked
-against the LP optimum), the rule registry, the ``check_structure``
-compatibility shim and the ``repro lint`` CLI.
+Covers the difference-constraint graph construction, the negative-cycle
+infeasibility certificates and the Tc lower bound that ``diagnose`` reads
+off the ``repro.cycle`` engine (checked against the LP optimum), the rule
+registry, the ``check_structure`` compatibility shim and the
+``repro lint`` CLI.
 """
 
 from __future__ import annotations
@@ -14,22 +15,21 @@ import json
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
+from repro.circuit.generate import random_pipeline
 from repro.circuit.validate import check_structure
 from repro.cli import main
 from repro.core.constraints import ConstraintOptions
-from repro.core.mlp import minimize_cycle_time
+from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.lang.parser import parse_file
 from repro.lint import (
     LintRule,
     Severity,
     build_constraint_graph,
     diagnose,
-    find_negative_cycle,
     get_rule,
     registered_rules,
     run_lint,
     run_rules,
-    tc_lower_bound,
 )
 from repro.lint.rules import rule
 
@@ -48,25 +48,21 @@ class TestConstraintGraph:
         assert cg.tc_floor >= 0.0
 
     def test_feasibility_threshold_matches_lp(self, ex1):
-        """No negative cycle at the optimum; a negative cycle below it."""
-        from repro.core.constraints import build_program
-
-        smo = build_program(ex1, ConstraintOptions())
-        cg = build_constraint_graph(smo)
+        """Feasible pinned at the LP Tc; a negative cycle 1.0 below it."""
         optimum = minimize_cycle_time(ex1).period
-        assert find_negative_cycle(cg, optimum) is None
-        cycle = find_negative_cycle(cg, optimum - 1.0)
-        assert cycle, "below the optimum the graph must have a negative cycle"
+        at_optimum = diagnose(ex1, ConstraintOptions(fixed_period=optimum))
+        assert at_optimum.certificate is None
+        below = diagnose(ex1, ConstraintOptions(fixed_period=optimum - 1.0))
+        certificate = below.certificate
+        assert certificate is not None and certificate.kind == "period"
+        assert certificate.cycle, "below the optimum a cycle must be negative"
+        assert certificate.a_sum + certificate.b_sum * (optimum - 1.0) < 0.0
 
     @pytest.mark.parametrize("fixture", ["ex1", "ex2", "gaas", "fig1"])
     def test_karp_bound_equals_lp_optimum(self, fixture, request):
         """On the paper designs the bound is exact: it equals the LP Tc."""
-        from repro.core.constraints import build_program
-
         graph = request.getfixturevalue(fixture)
-        smo = build_program(graph, ConstraintOptions())
-        cg = build_constraint_graph(smo)
-        bound = tc_lower_bound(cg)
+        bound = diagnose(graph).bound
         assert bound.exact
         optimum = minimize_cycle_time(graph).period
         assert bound.value == pytest.approx(optimum, abs=1e-9)
@@ -74,12 +70,9 @@ class TestConstraintGraph:
 
     def test_karp_bound_never_exceeds_lp_on_examples(self):
         """For every shipped .lcd the bound is a true lower bound."""
-        from repro.core.constraints import build_program
-
         for path in sorted(glob.glob("examples/*.lcd")):
             graph = parse_file(path).to_graph()
-            smo = build_program(graph, ConstraintOptions())
-            bound = tc_lower_bound(build_constraint_graph(smo))
+            bound = diagnose(graph).bound
             optimum = minimize_cycle_time(graph).period
             assert bound.value <= optimum + 1e-9, path
 
@@ -107,6 +100,58 @@ class TestDiagnose:
         data = diagnostics.to_dict()
         assert data["certificate"]["kind"] == "period"
         assert data["tc_lower_bound"]["value"] == pytest.approx(110.0)
+
+    def test_structural_certificate(self, ex1):
+        """A phase too narrow for a latch's own D/Q loop: no Tc helps."""
+        options = ConstraintOptions(fixed_widths={"phi1": 1.0})
+        diagnostics = diagnose(ex1, options)
+        certificate = diagnostics.certificate
+        assert certificate is not None
+        assert certificate.kind == "structural"
+        assert set(certificate.constraints) == {
+            "FIX[T[phi1]]", "L1[L1]", "L3[D[L1]]",
+        }
+        assert certificate.b_sum == 0.0 and certificate.a_sum < 0.0
+        assert diagnostics.bound.value == float("inf")
+        report = run_lint(ex1, options=options)
+        assert any(f.code == "LINT301" for f in report.findings)
+
+    def test_period_certificate_requires_the_bound(self, ex1):
+        """The certificate names the critical cycle and the bound itself."""
+        diagnostics = diagnose(ex1, ConstraintOptions(max_period=50.0))
+        certificate = diagnostics.certificate
+        assert certificate is not None and certificate.kind == "period"
+        assert certificate.cycle == diagnostics.bound.cycle
+        ratio = -certificate.a_sum / certificate.b_sum
+        assert certificate.required_tc == diagnostics.bound.value == ratio
+        assert certificate.tc == 50.0
+        # Canonical listing: the cycle starts at its lowest-numbered edge.
+        edges = diagnostics.graph.edges
+        positions = [edges.index(edge) for edge in certificate.cycle]
+        assert positions[0] == min(positions)
+
+    def test_floor_above_cap_is_a_contradiction(self, ex1):
+        """FIX[Tc] above XP[Tc]: the scalar rows alone conflict."""
+        options = ConstraintOptions(fixed_period=130.0, max_period=100.0)
+        diagnostics = diagnose(ex1, options)
+        certificate = diagnostics.certificate
+        assert certificate is not None
+        assert certificate.kind == "contradiction"
+        assert not certificate.cycle
+        assert certificate.required_tc == diagnostics.bound.value == 130.0
+        assert certificate.pinned_by == ("XP[Tc]",)
+
+    @pytest.mark.parametrize(
+        "fixture", ["ex1", "ex2", "gaas", "fig1", "seeded_pipeline"]
+    )
+    def test_bound_is_the_cycle_backend_optimum(self, fixture, request):
+        """Lint and the cycle backend run one search: the same number."""
+        if fixture == "seeded_pipeline":
+            graph = random_pipeline(12, k=2, seed=7)
+        else:
+            graph = request.getfixturevalue(fixture)
+        cycle = minimize_cycle_time(graph, mlp=MLPOptions(backend="cycle"))
+        assert diagnose(graph).bound.value == cycle.period
 
 
 class TestRuleRegistry:
