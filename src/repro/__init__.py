@@ -10,6 +10,10 @@ baselines (NRIP, edge-triggered, borrowing, binary search), a gate-level
 delay-extraction substrate, a circuit-description language, renderers and
 a cycle-accurate simulator.
 
+The top-level exports (``__all__``) are resolved on first access:
+``import repro`` loads no submodule, and ``from repro import
+minimize_cycle_time`` imports only :mod:`repro.core` and what it needs.
+
 Quickstart::
 
     from repro import CircuitBuilder, minimize_cycle_time
@@ -23,73 +27,103 @@ Quickstart::
     print(result.period, result.schedule)
 """
 
-from repro.baselines import (
-    binary_search_minimize,
-    borrowing_minimize,
-    edge_triggered_minimize,
-    nrip_minimize,
-)
-from repro.circuit import (
-    CircuitBuilder,
-    DelayArc,
-    EdgeKind,
-    FlipFlop,
-    Latch,
-    TimingGraph,
-    check_structure,
-    lump_parallel_latches,
-)
-from repro.clocking import (
-    ClockPhase,
-    ClockSchedule,
-    four_phase_clock,
-    symmetric_clock,
-    three_phase_clock,
-    two_phase_clock,
-)
-from repro.core import (
-    ConstraintOptions,
-    MLPOptions,
-    OptimalClockResult,
-    TimingReport,
-    analyze,
-    build_program,
-    check_hold,
-    critical_segments,
-    minimize_cycle_time,
-    signoff,
-    sweep_delay,
-)
-from repro.engine import (
-    AnalyzeJob,
-    BaselineJob,
-    Engine,
-    EngineReport,
-    JobResult,
-    MinimizeJob,
-    ResultCache,
-    SweepJob,
-    job_key,
-    run_jobs,
-)
-from repro.errors import (
-    AnalysisError,
-    CircuitError,
-    ClockError,
-    DivergentTimingError,
-    InfeasibleError,
-    LPError,
-    ParseError,
-    PhaseOverlapError,
-    ReproError,
-    SolverError,
-    UnboundedError,
-)
-from repro.export import to_cplex_lp, to_dot, to_mps
-from repro.lang import parse_circuit, parse_file, write_circuit
-from repro.netlist import Library, Netlist, default_library, extract_timing_graph
-from repro.render import clock_diagram, schedule_svg, strip_diagram
-from repro.sim import simulate
+import importlib
+from typing import Any
+
+#: Every top-level export, grouped by the submodule that defines it.  The
+#: submodule is imported the first time one of its names is accessed, so
+#: ``import repro.cli`` does not pay for the simulator, the netlist
+#: substrate, the renderers or the batch engine unless a command uses them.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "repro.baselines": (
+        "binary_search_minimize",
+        "borrowing_minimize",
+        "edge_triggered_minimize",
+        "nrip_minimize",
+    ),
+    "repro.circuit": (
+        "CircuitBuilder",
+        "DelayArc",
+        "EdgeKind",
+        "FlipFlop",
+        "Latch",
+        "TimingGraph",
+        "check_structure",
+        "lump_parallel_latches",
+    ),
+    "repro.clocking": (
+        "ClockPhase",
+        "ClockSchedule",
+        "four_phase_clock",
+        "symmetric_clock",
+        "three_phase_clock",
+        "two_phase_clock",
+    ),
+    "repro.core": (
+        "ConstraintOptions",
+        "MLPOptions",
+        "OptimalClockResult",
+        "TimingReport",
+        "analyze",
+        "build_program",
+        "check_hold",
+        "critical_segments",
+        "minimize_cycle_time",
+        "signoff",
+        "sweep_delay",
+    ),
+    "repro.engine": (
+        "AnalyzeJob",
+        "BaselineJob",
+        "Engine",
+        "EngineReport",
+        "JobResult",
+        "MinimizeJob",
+        "ResultCache",
+        "SweepJob",
+        "job_key",
+        "run_jobs",
+    ),
+    "repro.errors": (
+        "AnalysisError",
+        "CircuitError",
+        "ClockError",
+        "DivergentTimingError",
+        "InfeasibleError",
+        "LPError",
+        "ParseError",
+        "PhaseOverlapError",
+        "ReproError",
+        "SolverError",
+        "UnboundedError",
+    ),
+    "repro.export": ("to_cplex_lp", "to_dot", "to_mps"),
+    "repro.lang": ("parse_circuit", "parse_file", "write_circuit"),
+    "repro.netlist": (
+        "Library",
+        "Netlist",
+        "default_library",
+        "extract_timing_graph",
+    ),
+    "repro.render": ("clock_diagram", "schedule_svg", "strip_diagram"),
+    "repro.sim": ("simulate",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a top-level export on first access (PEP 562)."""
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCE))
+
 
 __version__ = "1.0.0"
 

@@ -73,6 +73,10 @@ class TimingGraph:
         self._phase_index = {n: i for i, n in enumerate(self._phase_names)}
         self._synchronizers: dict[str, Synchronizer] = {}
         self._arcs: dict[tuple[str, str], DelayArc] = {}
+        # Per-synchronizer arc lists in insertion order, so fanin/fanout
+        # cost O(degree) and return arcs in the order of ``arcs``.
+        self._in: dict[str, list[DelayArc]] = {}
+        self._out: dict[str, list[DelayArc]] = {}
         for s in synchronizers:
             self.add_synchronizer(s)
         for a in arcs:
@@ -90,6 +94,8 @@ class TimingGraph:
                 f"{sync.phase!r}; known phases: {list(self._phase_names)}"
             )
         self._synchronizers[sync.name] = sync
+        self._in[sync.name] = []
+        self._out[sync.name] = []
 
     def add_arc(self, arc: DelayArc) -> None:
         for endpoint in (arc.src, arc.dst):
@@ -105,6 +111,8 @@ class TimingGraph:
                 f"into a single max/min delay pair first"
             )
         self._arcs[key] = arc
+        self._in[arc.dst].append(arc)
+        self._out[arc.src].append(arc)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -176,20 +184,17 @@ class TimingGraph:
         """All arcs ending at ``name``."""
         if name not in self._synchronizers:
             raise CircuitError(f"unknown synchronizer {name!r}")
-        return tuple(a for a in self._arcs.values() if a.dst == name)
+        return tuple(self._in[name])
 
     def fanout(self, name: str) -> tuple[DelayArc, ...]:
         """All arcs starting at ``name``."""
         if name not in self._synchronizers:
             raise CircuitError(f"unknown synchronizer {name!r}")
-        return tuple(a for a in self._arcs.values() if a.src == name)
+        return tuple(self._out[name])
 
     def max_fanin(self) -> int:
         """The paper's ``F``: the maximum number of arcs into any latch."""
-        counts: dict[str, int] = {n: 0 for n in self._synchronizers}
-        for arc in self._arcs.values():
-            counts[arc.dst] += 1
-        return max(counts.values(), default=0)
+        return max(map(len, self._in.values()), default=0)
 
     # ------------------------------------------------------------------
     # Derived structure

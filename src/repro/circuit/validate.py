@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from repro.circuit.graph import TimingGraph
 from repro.clocking.schedule import ClockSchedule
@@ -45,6 +46,8 @@ def check_loop_phases(
 
     Returns a list of human-readable violation messages.
     """
+    if _no_loop_flagged(graph, schedule):
+        return []
     problems: list[str] = []
     for loop in graph.feedback_loops():
         if any(not graph[name].is_latch for name in loop):
@@ -64,6 +67,74 @@ def check_loop_phases(
                 f"simultaneously active under the given schedule"
             )
     return problems
+
+
+#: Above this many phases the subset test of :func:`_no_loop_flagged`
+#: (2^k subgraphs) is skipped in favour of plain loop enumeration.
+_MAX_SUBSET_PHASES = 8
+
+
+def _flagged(phases: frozenset[str], schedule: ClockSchedule | None) -> bool:
+    """Whether :func:`check_loop_phases` reports a latch loop on ``phases``."""
+    if len(phases) == 1:
+        return True
+    return schedule is not None and not simultaneous_and_is_zero(schedule, phases)
+
+
+def _no_loop_flagged(graph: TimingGraph, schedule: ClockSchedule | None) -> bool:
+    """True when provably no latch loop violates the phase requirement.
+
+    A flagged loop whose phase set is ``S`` lies in the all-latch subgraph
+    induced by the latches on phases ``S``.  So if that subgraph is
+    acyclic for every flagged ``S``, nothing is flagged -- without
+    enumerating loops, whose count can grow exponentially.  O(2^k (l + m)).
+    A False return is inconclusive: the caller enumerates.
+    """
+    latches = graph.latches
+    phases = sorted({sync.phase for sync in latches})
+    if len(phases) > _MAX_SUBSET_PHASES:
+        return False
+    if schedule is not None and (
+        schedule.period <= 0 or not set(phases) <= set(schedule.names)
+    ):
+        return False  # let the enumeration raise or report exactly as before
+    phase_of = {sync.name: sync.phase for sync in latches}
+    succ = {
+        name: [a.dst for a in graph.fanout(name) if a.dst in phase_of]
+        for name in phase_of
+    }
+    for size in range(1, len(phases) + 1):
+        for subset in combinations(phases, size):
+            chosen = frozenset(subset)
+            if not _flagged(chosen, schedule):
+                continue
+            members = {name for name, phase in phase_of.items() if phase in chosen}
+            if _has_cycle(members, succ):
+                return False
+    return True
+
+
+def _has_cycle(members: set[str], succ: dict[str, list[str]]) -> bool:
+    """Kahn's algorithm on the subgraph induced by ``members``.
+
+    A self-loop counts as a cycle.
+    """
+    indegree = dict.fromkeys(members, 0)
+    for node in members:
+        for dst in succ[node]:
+            if dst in members:
+                indegree[dst] += 1
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    removed = 0
+    while ready:
+        node = ready.pop()
+        removed += 1
+        for dst in succ[node]:
+            if dst in members:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
+    return removed < len(members)
 
 
 #: Registry codes backing :func:`check_structure`, in legacy report order.

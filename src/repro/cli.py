@@ -34,25 +34,18 @@ import time
 from dataclasses import replace
 from typing import Sequence
 
+# Only what the default minimize/lint/sweep paths run is imported here;
+# flags and rarer subcommands import their own layers where they use them.
 from repro import obs
-from repro.baselines.ladder import run_ladder
-from repro.baselines.nrip import nrip_minimize
 from repro.core.analysis import analyze
 from repro.core.constraints import ConstraintOptions
-from repro.core.critical import critical_segments
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.core.parametric import exact_sweep_delay, sweep_delay
 from repro.core.reporting import format_comparison, format_optimal_result
 from repro.core.shortpath import check_hold
-from repro.core.tuning import maximize_slack
 from repro.errors import ReproError
-from repro.export.dot import to_dot
-from repro.export.lpformat import to_cplex_lp
 from repro.lang.parser import parse_file
-from repro.lang.writer import write_circuit
 from repro.lint import diagnose, run_lint, run_rules
-from repro.render.ascii_art import strip_diagram
-from repro.render.svg import schedule_svg
 
 # Output-routing state, set once per main() invocation from -q/-v.
 _QUIET = False
@@ -166,6 +159,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     mlp = MLPOptions(backend=args.backend, kernel=args.kernel,
                      sanitize=args.sanitize)
     if args.nrip:
+        from repro.baselines.nrip import nrip_minimize
+
         result = nrip_minimize(graph, initial_phase=args.initial_phase,
                                options=options, mlp=mlp)
         _emit(f"NRIP (initial phase {result.extra['initial_phase']}):")
@@ -178,25 +173,37 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     if sanitize_report is not None:
         _emit(sanitize_report.format())
     if args.critical:
+        from repro.core.critical import critical_segments
+
         _emit()
         _emit(str(critical_segments(result.smo, result.lp_result)))
     if args.strips:
+        from repro.render.ascii_art import strip_diagram
+
         _emit()
         _emit(strip_diagram(graph, analyze(graph, result.schedule, options)))
     if args.svg:
+        from repro.render.svg import schedule_svg
+
         report = analyze(graph, result.schedule, options)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(schedule_svg(result.schedule, graph, report))
         _emit(f"\nwrote {args.svg}")
     if args.write:
+        from repro.lang.writer import write_circuit
+
         with open(args.write, "w", encoding="utf-8") as handle:
             handle.write(write_circuit(graph, result.schedule))
         _emit(f"wrote {args.write}")
     if args.dot:
+        from repro.export.dot import to_dot
+
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(graph))
         _emit(f"wrote {args.dot}")
     if args.lp:
+        from repro.export.lpformat import to_cplex_lp
+
         with open(args.lp, "w", encoding="utf-8") as handle:
             handle.write(to_cplex_lp(result.smo.program))
         _emit(f"wrote {args.lp}")
@@ -277,6 +284,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from repro.core.tuning import maximize_slack
+
     graph, _ = _load(args.file)
     options = _constraint_options(args)
     tuned = maximize_slack(graph, args.period, options=options)
@@ -288,6 +297,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_baselines(args: argparse.Namespace) -> int:
+    from repro.baselines.ladder import run_ladder
+
     graph, _ = _load(args.file)
     options = _constraint_options(args)
     ladder = run_ladder(

@@ -8,6 +8,7 @@ benchmarks quickly.
 
 from __future__ import annotations
 
+import importlib.util
 import time
 
 import numpy as np
@@ -16,19 +17,17 @@ from repro.errors import SolverError
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 
-try:  # pragma: no cover - exercised implicitly by availability checks
-    from scipy.optimize import linprog as _linprog
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _linprog = None
-    HAVE_SCIPY = False
+#: Whether scipy is installed.  ``scipy.optimize`` is the costliest import
+#: in the package, so only the first :func:`solve_scipy` call loads it.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def solve_scipy(program: LinearProgram) -> LPResult:
     """Solve a :class:`LinearProgram` via scipy's HiGHS interface."""
     if not HAVE_SCIPY:
         raise SolverError("scipy is not installed; use the 'simplex' backend")
+    from scipy.optimize import linprog
+
     arrays = program.to_arrays()
 
     # scipy wants only <= inequalities: flip the >= block.
@@ -56,7 +55,7 @@ def solve_scipy(program: LinearProgram) -> LPResult:
     # translation (the simplex backends likewise exclude LinearProgram
     # construction but include their own standard-form setup).
     start = time.perf_counter()
-    res = _linprog(arrays.c, bounds=bounds, method="highs", **kwargs)
+    res = linprog(arrays.c, bounds=bounds, method="highs", **kwargs)
     elapsed = time.perf_counter() - start
     nit = int(getattr(res, "nit", 0))
 

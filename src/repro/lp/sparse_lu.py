@@ -30,6 +30,7 @@ Engine choice is ``factorization="auto" | "scipy" | "python"`` on
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Callable, Protocol
 
 import numpy as np
@@ -40,15 +41,8 @@ from repro.lp.sparse import CSCMatrix
 _F64 = npt.NDArray[np.float64]
 _I64 = npt.NDArray[np.int64]
 
-try:  # pragma: no cover - exercised indirectly via engine selection
-    from scipy.sparse import csc_matrix as _scipy_csc
-    from scipy.sparse.linalg import splu as _scipy_splu
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _scipy_csc = None
-    _scipy_splu = None
-    HAVE_SCIPY = False
+#: Whether scipy is installed; :class:`ScipyLU` imports it on first use.
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 #: Entries below this magnitude are dropped when sparsifying eta columns
 #: and elimination updates.  Well below the solver's 1e-9 optimality
@@ -79,8 +73,11 @@ class ScipyLU:
     def __init__(
         self, m: int, indptr: _I64, rows: _I64, vals: _F64
     ) -> None:
-        mat = _scipy_csc((vals, rows, indptr), shape=(m, m))
-        self._lu = _scipy_splu(mat.tocsc())
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        mat = csc_matrix((vals, rows, indptr), shape=(m, m))
+        self._lu = splu(mat.tocsc())
 
     def solve(self, b: _F64) -> _F64:
         out: _F64 = self._lu.solve(b)

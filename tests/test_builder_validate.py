@@ -1,12 +1,18 @@
 """Unit tests for CircuitBuilder and structural validation."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.circuit.builder import CircuitBuilder
+from repro.circuit.generate import random_multiloop_circuit
 from repro.circuit.validate import check_loop_phases, check_structure
-from repro.clocking.library import two_phase_clock
+from repro.clocking.library import symmetric_clock, two_phase_clock
 from repro.clocking.phase import ClockPhase
 from repro.clocking.schedule import ClockSchedule
+from repro.clocking.waveform import simultaneous_and_is_zero
+from repro.designs.generators import banked_array, pipeline
 from repro.errors import CircuitError, PhaseOverlapError
 
 
@@ -160,3 +166,132 @@ class TestCheckStructure:
         )
         with pytest.raises(PhaseOverlapError):
             check_structure(g).raise_on_error()
+
+
+def _enumerated_loop_phases(graph, schedule=None):
+    """Reference LINT101: enumerate every simple cycle and test each one."""
+    problems = []
+    for loop in nx.simple_cycles(graph.to_networkx()):
+        loop = list(loop)
+        if any(not graph[name].is_latch for name in loop):
+            continue
+        phases = graph.phases_of(loop)
+        loop_desc = " -> ".join(loop + [loop[0]])
+        if len(phases) == 1:
+            (only,) = phases
+            problems.append(
+                f"latch loop {loop_desc} is controlled by the single phase "
+                f"{only!r}; the loop is transparent whenever {only!r} is active"
+            )
+            continue
+        if schedule is not None and not simultaneous_and_is_zero(schedule, phases):
+            problems.append(
+                f"latch loop {loop_desc}: phases {sorted(phases)} are "
+                f"simultaneously active under the given schedule"
+            )
+    return problems
+
+
+def _random_design(seed):
+    """Latches and flip-flops on random phases joined by random arcs."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    phases = [f"phi{i + 1}" for i in range(k)]
+    b = CircuitBuilder(phases)
+    names = [f"S{i}" for i in range(rng.randint(2, 12))]
+    for name in names:
+        if rng.random() < 0.15:
+            b.flipflop(name, phase=rng.choice(phases))
+        else:
+            b.latch(name, phase=rng.choice(phases))
+    g = b.build()
+    pairs = set()
+    for _ in range(rng.randint(len(names), 3 * len(names))):
+        src, dst = rng.choice(names), rng.choice(names)
+        # Mostly cross-phase arcs, so both verdicts occur.
+        if g[src].phase != g[dst].phase or rng.random() < 0.2:
+            pairs.add((src, dst))
+    for src, dst in sorted(pairs):
+        b.path(src, dst, 1.0)
+    return b.build()
+
+
+def _random_schedule(phases, seed):
+    """A schedule whose phases may or may not overlap."""
+    rng = random.Random(seed)
+    return ClockSchedule(
+        100.0,
+        [
+            ClockPhase(name, rng.uniform(0.0, 90.0), rng.uniform(5.0, 60.0))
+            for name in phases
+        ],
+    )
+
+
+class TestLoopPhasesFastPath:
+    """check_loop_phases skips enumeration only when nothing can be flagged."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_enumeration_on_random_designs(self, seed):
+        g = _random_design(seed)
+        assert check_loop_phases(g) == _enumerated_loop_phases(g)
+        schedule = _random_schedule(g.phase_names, seed)
+        assert check_loop_phases(g, schedule) == _enumerated_loop_phases(
+            g, schedule
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            banked_array(8, 6),
+            pipeline(10, 3),
+            random_multiloop_circuit(30, n_extra_arcs=20, k=3, seed=5),
+        ],
+        ids=["banked", "pipeline", "multiloop"],
+    )
+    def test_matches_enumeration_on_generators(self, graph):
+        k = graph.k
+        nonoverlapping = symmetric_clock(k, 100.0)
+        overlapping = ClockSchedule(
+            100.0,
+            [
+                ClockPhase(p.name, p.start, 1.5 * p.width)
+                for p in symmetric_clock(k, 100.0, duty=1.0).phases
+            ],
+        )
+        for schedule in (None, nonoverlapping, overlapping):
+            assert check_loop_phases(graph, schedule) == _enumerated_loop_phases(
+                graph, schedule
+            )
+        assert check_loop_phases(graph, nonoverlapping) == []
+
+    def test_single_phase_latch_loop_is_flagged(self):
+        g = banked_array(4, 6)
+        b = CircuitBuilder(list(g.phase_names))
+        for sync in g.synchronizers:
+            b.latch(sync.name, phase=sync.phase)
+        for arc in g.arcs:
+            b.path(arc.src, arc.dst, arc.delay)
+        b.latch("X", phase="phi1").latch("Y", phase="phi1")
+        b.path("X", "Y", 1.0).path("Y", "X", 1.0)
+        g = b.build()
+        problems = check_loop_phases(g)
+        assert problems == _enumerated_loop_phases(g)
+        assert len(problems) == 1 and "single phase 'phi1'" in problems[0]
+
+    def test_self_loop_is_flagged(self):
+        g = CircuitBuilder(["p", "q"]).latch("A", phase="p").path("A", "A", 1).build()
+        problems = check_loop_phases(g)
+        assert problems == _enumerated_loop_phases(g)
+        assert len(problems) == 1
+
+    def test_overlapping_phases_are_flagged(self):
+        g = banked_array(4, 6)
+        overlapping = ClockSchedule(
+            100.0, [ClockPhase("phi1", 0.0, 60.0), ClockPhase("phi2", 40.0, 30.0)]
+        )
+        problems = check_loop_phases(g, overlapping)
+        assert problems == _enumerated_loop_phases(g, overlapping)
+        assert len(problems) == 4
+        assert all("simultaneously active" in p for p in problems)
+        assert check_loop_phases(g, two_phase_clock(100.0)) == []

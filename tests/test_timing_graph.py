@@ -4,7 +4,9 @@ import pytest
 
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.elements import Latch
+from repro.circuit.generate import random_multiloop_circuit
 from repro.circuit.graph import DelayArc, TimingGraph
+from repro.designs.generators import banked_array, pipeline
 from repro.errors import CircuitError
 
 
@@ -151,3 +153,38 @@ class TestTransforms:
         nxg = two_latch_graph().to_networkx()
         assert nxg.number_of_nodes() == 2
         assert nxg["A"]["B"]["delay"] == 5
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pipeline(16, 4),
+        pipeline(12, 3, k=3),
+        banked_array(6, 6),
+        random_multiloop_circuit(40, n_extra_arcs=30, k=3, seed=11),
+        two_latch_graph().with_arc_delay("A", "B", 3.0),
+    ],
+    ids=["pipeline", "pipeline-k3", "banked", "multiloop", "with_arc_delay"],
+)
+class TestAdjacency:
+    """fanin/fanout are indexed, but equal the filtered arc scan, in order."""
+
+    def test_fanin_matches_scan(self, graph):
+        for name in graph.names:
+            assert graph.fanin(name) == tuple(a for a in graph.arcs if a.dst == name)
+
+    def test_fanout_matches_scan(self, graph):
+        for name in graph.names:
+            assert graph.fanout(name) == tuple(a for a in graph.arcs if a.src == name)
+
+    def test_max_fanin_matches_scan(self, graph):
+        counts = {name: 0 for name in graph.names}
+        for arc in graph.arcs:
+            counts[arc.dst] += 1
+        assert graph.max_fanin() == max(counts.values())
+
+    def test_unknown_name_rejected(self, graph):
+        with pytest.raises(CircuitError):
+            graph.fanin("no-such-latch")
+        with pytest.raises(CircuitError):
+            graph.fanout("no-such-latch")
