@@ -83,14 +83,15 @@ def _constraint_options(args: argparse.Namespace) -> ConstraintOptions:
     )
 
 
-def _backend_help(default: str | None = None) -> str:
+def _backend_help() -> str:
     """The --backend help line, built from the live backend registry."""
     from repro.lp.backends import available_backends
 
     names = "|".join(available_backends())
-    if default is None:
-        return f"LP backend ({names})"
-    return f"LP backend ({names}; default {default})"
+    return (
+        f"LP backend ({names}; default: the certified cycle engine, "
+        "falling back to a simplex)"
+    )
 
 
 def _add_common_constraints(parser: argparse.ArgumentParser) -> None:
@@ -241,10 +242,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     graph, _ = _load(args.file)
     options = _constraint_options(args)
-    # One LP solve per distinct point; the revised backend warm-starts each
-    # solve from the previous point's basis unless --cold-start is given.
+    # One Tc solve per distinct point.  A named warm-startable backend
+    # (revised, sparse) seeds each solve from the nearest solved point's
+    # basis unless --cold-start is given.
     mlp = MLPOptions(
-        backend=args.backend or "revised",
+        backend=args.backend,
         verify=False,
         compact=False,
         warm_start=not args.cold_start,
@@ -747,15 +749,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adaptive exact breakpoints instead of a grid")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for grid evaluation (default 1)")
-    p.add_argument("--backend", default=None,
-                   help=_backend_help(default="revised"))
+    p.add_argument("--backend", default=None, help=_backend_help())
     p.add_argument("--kernel", default="auto",
                    choices=("dict", "array", "auto"),
                    help="fixpoint kernel for the departure slide "
                    "(default auto)")
     p.add_argument("--cold-start", action="store_true", dest="cold_start",
-                   help="disable warm-started solves (identical results, "
-                   "more pivots)")
+                   help="disable warm-started solves of the revised and "
+                   "sparse backends (identical results, more pivots)")
     _add_common_constraints(p)
     p.set_defaults(func=cmd_sweep)
 

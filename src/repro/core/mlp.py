@@ -82,11 +82,15 @@ class MLPOptions:
     ``result.extra["sanitize"]``.
 
     ``backend`` names the LP backend of the Tc pass (see
-    :func:`repro.lp.backends.available_backends`).  The graph-native
-    ``"cycle"`` backend solves the Tc minimization by parametric
-    critical-cycle search over the difference-constraint graph (see
-    :mod:`repro.cycle`) -- no simplex tableau for the hard, free-period
-    solve.  The ``compact`` pass always runs on that graph and only
+    :func:`repro.lp.backends.available_backends`).  Left at ``None``, the
+    Tc pass goes to the graph-native ``"cycle"`` backend, which solves
+    the Tc minimization by parametric critical-cycle search over the
+    difference-constraint graph (see :mod:`repro.cycle`) -- no simplex
+    tableau -- and certifies both the schedule and the critical cycle's
+    duals against the LP, falling back to the revised (or, above
+    :data:`~repro.lp.backends.AUTO_SPARSE_ROWS` rows, sparse) simplex
+    when it cannot.  Name ``"simplex"`` for the paper's dense tableau.
+    The ``compact`` pass always runs on that graph and only
     falls back to a simplex when it cannot certify its answer (recorded
     in ``extra["compact"]``); disable ``compact`` to take the Tc pass's
     own schedule instead (for ``"cycle"``, the shortest-path potentials

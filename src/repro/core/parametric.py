@@ -213,6 +213,60 @@ def _reconstruct_pieces(
     return left + right
 
 
+@dataclass
+class _Line:
+    """A fitted line of :func:`exact_sweep` and the sampled span it covers."""
+
+    slope: float
+    intercept: float
+    start: float
+    f_start: float
+    end: float
+    f_end: float
+
+    def value(self, x: float) -> float:
+        return self.intercept + self.slope * x
+
+    def meet(self, other: "_Line") -> float:
+        """Where this line and ``other`` intersect."""
+        return (self.intercept - other.intercept) / (other.slope - self.slope)
+
+
+def _drop_chords(
+    evaluate: Callable[[float], float],
+    lines: list[_Line],
+    value_tol: float,
+) -> list[_Line]:
+    """Remove lines that are chords across a kink of the convex curve.
+
+    A piece that straddles a kink yet passed the chord test carries a
+    blended slope.  Its sampled ends then lie on its neighbours' lines,
+    which meet inside its span, and the curve at that intersection lies
+    on both of them, below the chord (a chord lies above a convex
+    curve): the neighbours alone describe the curve there, so the line
+    is dropped.  A true segment whose sampled ends happen to sit on both
+    kinks passes the first test but not the second, which costs one
+    evaluation.
+    """
+    kept: list[_Line] = []
+    for i, line in enumerate(lines):
+        if kept and i + 1 < len(lines):
+            left, right = kept[-1], lines[i + 1]
+            if (
+                left.slope < right.slope
+                and abs(left.value(line.start) - line.f_start) <= value_tol
+                and abs(right.value(line.end) - line.f_end) <= value_tol
+            ):
+                kink = left.meet(right)
+                if (
+                    line.start <= kink <= line.end
+                    and abs(evaluate(kink) - left.value(kink)) <= value_tol
+                ):
+                    continue
+        kept.append(line)
+    return kept
+
+
 def exact_sweep(
     evaluate: Callable[[float], float],
     lo: float,
@@ -245,24 +299,24 @@ def exact_sweep(
 
     # Merge pieces with equal slopes, then intersect neighbors for exact
     # breakpoints.
-    merged: list[tuple[float, float]] = []  # (slope, intercept)
+    merged: list[_Line] = []
     for a, fa, b, fb in wide:
         slope = (fb - fa) / (b - a)
-        intercept = fa - slope * a
-        if merged and abs(slope - merged[-1][0]) <= slope_tol:
+        if merged and abs(slope - merged[-1].slope) <= slope_tol:
+            merged[-1].end, merged[-1].f_end = b, fb
             continue
-        merged.append((slope, intercept))
+        merged.append(_Line(slope, fa - slope * a, a, fa, b, fb))
+    merged = _drop_chords(evaluate, merged, value_tol)
 
     segments: list[Segment] = []
     boundaries = [lo]
-    for idx in range(1, len(merged)):
-        (s1, c1), (s2, c2) = merged[idx - 1], merged[idx]
-        boundaries.append((c1 - c2) / (s2 - s1))
+    for left, right in zip(merged, merged[1:]):
+        boundaries.append(left.meet(right))
     boundaries.append(hi)
-    for (slope, intercept), a, b in zip(
-        merged, boundaries, boundaries[1:]
-    ):
-        segments.append(Segment(start=a, end=b, slope=slope, intercept=intercept))
+    for line, a, b in zip(merged, boundaries, boundaries[1:]):
+        segments.append(
+            Segment(start=a, end=b, slope=line.slope, intercept=line.intercept)
+        )
 
     points = [SweepPoint(lo, f_lo), SweepPoint(hi, f_hi)]
     return SweepResult(points=points, segments=segments)
@@ -315,17 +369,18 @@ def delay_evaluator(
     Without an engine this is the direct Algorithm-MLP call; with one,
     repeated evaluations at the same ``x`` hit the result cache.  The
     sweep consumes only the period, so the default options skip the verify
-    and compact passes (one LP solve per distinct ``x``) and use the
-    revised backend so successive evaluations warm-start from the previous
-    point's optimal basis.
+    and compact passes (one Tc solve per distinct ``x``, on the default
+    cycle-engine route).
 
-    Warm chaining works in both modes: the direct path re-costs one
-    constraint system per value (:func:`recost_arc_delay`) and hands the
-    last optimal basis to the next solve; the engine path threads the
-    basis through the job's non-hashed ``warm_start`` slot, so cache keys
-    -- and therefore results -- are identical to a cold run.
+    When ``mlp`` names a warm-startable backend (``"revised"``,
+    ``"sparse"``), successive evaluations warm-start from the nearest
+    solved point's optimal basis, in both modes: the direct path re-costs
+    one constraint system per value (:func:`recost_arc_delay`) and hands
+    the basis to the next solve; the engine path threads it through the
+    job's non-hashed ``warm_start`` slot, so cache keys -- and therefore
+    results -- are identical to a cold run.
     """
-    mlp = mlp or MLPOptions(verify=False, compact=False, backend="revised")
+    mlp = mlp or MLPOptions(verify=False, compact=False)
     chain_warm = mlp.warm_start and supports_warm_start(mlp.backend)
     chain = BasisChain()
     if engine is None:

@@ -67,7 +67,9 @@ class DiffEdge:
 
     Stored as a graph edge ``tail -> head`` with parametric weight
     ``a + b*Tc``; ``constraint`` is the SMO row (or implicit bound) it came
-    from and ``family`` its constraint family tag.
+    from and ``family`` its constraint family tag.  ``sign`` is the row
+    multiplier that turned the row into the edge (``a = sign * rhs``:
+    +1 for a ``<=`` half, -1 for a ``>=`` half, 0 for an implicit bound).
     """
 
     tail: str
@@ -76,6 +78,7 @@ class DiffEdge:
     b: float
     constraint: str
     family: str
+    sign: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -312,6 +315,7 @@ def _materialize(skeleton: GraphSkeleton, smo: SMOProgram) -> ConstraintGraph:
                 b=tpl.b,
                 constraint=tpl.constraint,
                 family=tpl.family,
+                sign=tpl.sign,
             )
         )
     for sc in skeleton.scalars:

@@ -57,7 +57,7 @@ from repro.cycle.graph import (
     structure_fingerprint,
 )
 from repro.errors import SolverError
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 from repro.obs import metrics, trace
 
@@ -378,6 +378,78 @@ def _tc_objective_coeff(program: LinearProgram) -> float | None:
     return None
 
 
+def _critical_duals(
+    program: LinearProgram,
+    comp: CompiledCycleGraph,
+    period: CyclePeriod,
+    objective_coeff: float,
+) -> tuple[dict[str, float] | None, dict[str, float], str]:
+    """Certified shadow prices of a ``min c*Tc`` program, or why not.
+
+    At the optimum ``Tc = -A(C)/B(C)`` for the critical cycle ``C``, and
+    ``A(C)`` sums ``sign_e * rhs`` over the cycle's edges, so the price
+    of row ``r`` is ``-c * (sum of sign_e over C's edges from r) / B(C)``.
+    With no cycle the scalar floor ``Tc >= rhs/coeff`` binds and its row
+    carries the whole price ``c/coeff``.  Like the primal point, the
+    multipliers are then checked against the program itself: the sign
+    condition of every row's sense, dual feasibility (reduced costs
+    ``c - A^T y`` nonnegative, and zero on free variables) and
+    ``b.y + constant`` equal to the objective.  Returns the duals of
+    every row (zero off the support), the check residuals, and the
+    reason when a check fails.
+    """
+    support: dict[str, float] = {}
+    floor_row = ""
+    if period.cycle:
+        _, b_sum = _cycle_totals(comp, period.cycle)
+        for i in period.cycle:
+            edge = comp.graph.edges[i]
+            if edge.sign:
+                support[edge.constraint] = (
+                    support.get(edge.constraint, 0.0)
+                    - objective_coeff * edge.sign / b_sum
+                )
+    elif comp.graph.tc_lower:
+        _, floor_row = max(comp.graph.tc_lower)
+    objective = program.objective
+    duals: dict[str, float] = {}
+    reduced = objective.terms
+    tol = CERTIFY_TOL * max(1.0, abs(objective_coeff))
+    dual_value = objective.constant
+    wrong_sign = ""
+    for con in program.constraints:
+        if con.name == floor_row:
+            support[con.name] = objective_coeff / con.lhs.coefficient(TC)
+        y = duals[con.name] = support.get(con.name, 0.0)
+        if not y:
+            continue
+        if (con.sense is Sense.LE and y > tol) or (
+            con.sense is Sense.GE and y < -tol
+        ):
+            wrong_sign = wrong_sign or con.name
+        dual_value += y * (con.rhs - con.lhs.constant)
+        for var, coeff in con.lhs.terms.items():
+            reduced[var] = reduced.get(var, 0.0) - y * coeff
+    free = program.free_variables
+    violation = max(
+        (abs(d) if var in free else -d for var, d in reduced.items()),
+        default=0.0,
+    )
+    gap = abs(dual_value - (objective_coeff * period.value + objective.constant))
+    residuals = {"dual_violation": max(0.0, violation), "duality_gap": gap}
+    if wrong_sign:
+        return None, residuals, f"the price of {wrong_sign} has the wrong sign"
+    if violation > tol:
+        return None, residuals, (
+            f"the cycle duals violate dual feasibility by {violation:.3g}"
+        )
+    if gap > CERTIFY_TOL * max(1.0, abs(dual_value)):
+        return None, residuals, (
+            f"the cycle duals give b.y = {dual_value!r}, not the optimum"
+        )
+    return duals, residuals, ""
+
+
 def _certify_period(
     program: LinearProgram,
     smo: SMOProgram,
@@ -415,10 +487,16 @@ def _certify_period(
             f"decoded schedule violates {worst_row} by {worst:.3g}: "
             f"the cycle bound {period.value!r} under-constrains the LP"
         )
+    duals, residuals, why = _critical_duals(
+        program, comp, period, objective_coeff
+    )
+    if duals is None:
+        return None, why
     result = LPResult(
         status=LPStatus.OPTIMAL,
         objective=objective_coeff * period.value + program.objective.constant,
         values=values,
+        duals=duals,
         iterations=period.jumps,
         backend="cycle",
         extra={
@@ -430,6 +508,7 @@ def _certify_period(
                 "bf_rounds": period.bf_rounds,
                 "certified_rows": len(program.constraints),
                 "max_violation": worst,
+                **residuals,
                 "critical_cycle": [
                     comp.structure.constraints[i] for i in period.cycle
                 ],

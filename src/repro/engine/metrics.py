@@ -157,8 +157,8 @@ class EngineReport:
             f"{self.workers} worker{'s' if self.workers != 1 else ''})",
             f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
             f"({100.0 * self.cache_hit_rate:.1f}%)",
-            f"lp: {self.lp_solves} solves, {self.lp_iterations} simplex "
-            f"pivots; slide: {self.slide_sweeps} sweeps",
+            f"lp: {self.lp_solves} solves, {self.lp_iterations} LP "
+            f"iterations; slide: {self.slide_sweeps} sweeps",
         ]
         if self.compact_fallbacks:
             lines.append(

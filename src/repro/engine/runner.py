@@ -175,9 +175,9 @@ class Engine:
         mlp = job.mlp
         if mlp is None:
             # The sweep consumes only the optimal period, so skip both the
-            # verify pass and the compact tie-break LP: one solve per point,
-            # on the warm-startable revised backend.
-            mlp = MLPOptions(verify=False, compact=False, backend="revised")
+            # verify pass and the compact tie-break LP: one Tc solve per
+            # point, on the default (cycle-engine) route.
+            mlp = MLPOptions(verify=False, compact=False)
 
         n = len(grid)
         values: dict[int, float] = {}

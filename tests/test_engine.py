@@ -311,7 +311,7 @@ class TestMetrics:
         assert report.lp_iterations > 0
         assert report.stage_seconds["lp_solve"] > 0.0
         text = report.format()
-        assert "simplex pivots" in text
+        assert "LP iterations" in text
         assert "constraint_gen" in text
 
 
@@ -351,7 +351,7 @@ class TestBatchCLI:
         out = capsys.readouterr().out
         assert "Tc = 90" in out
         assert "Tc = 110" in out
-        assert "simplex pivots" in out
+        assert "LP iterations" in out
         assert "2 workers" in out
 
     def test_batch_manifest_and_cache(self, design_files, tmp_path, capsys):

@@ -146,7 +146,7 @@ class TestMlpTracing:
     def test_span_tree_and_pivot_events(self, ex1):
         tracer = trace.enable()
         with trace.span("run"):
-            result = minimize_cycle_time(ex1)
+            result = minimize_cycle_time(ex1, mlp=MLPOptions(backend="simplex"))
         names = [s.name for s in tracer.roots[0].walk()]
         for expected in ("constraint_gen", "lp_solve", "compact", "slide", "analysis"):
             assert expected in names
