@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.circuit.elements import FlipFlop, Latch, Synchronizer
 from repro.errors import CircuitError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,8 @@ class TimingGraph:
         Node attributes carry the synchronizer object (key ``sync``); edge
         attributes carry the arc (key ``arc``) and its ``delay``.
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for name, sync in self._synchronizers.items():
             g.add_node(name, sync=sync)
@@ -246,10 +249,14 @@ class TimingGraph:
 
     def feedback_loops(self) -> list[list[str]]:
         """All simple cycles of synchronizers (the paper's feedback loops)."""
+        import networkx as nx
+
         return [list(c) for c in nx.simple_cycles(self.to_networkx())]
 
     def strongly_connected_components(self) -> list[set[str]]:
         """SCCs of the synchronizer graph (cf. LEADOUT's partitioning)."""
+        import networkx as nx
+
         return [set(c) for c in nx.strongly_connected_components(self.to_networkx())]
 
     def phases_of(self, names: Iterable[str]) -> set[str]:

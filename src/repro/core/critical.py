@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.constraints import SMOProgram
 from repro.errors import LPError
 from repro.lp.result import LPResult
@@ -83,6 +81,8 @@ def critical_segments(
         for name in smo.family(tag):
             if name in binding:
                 report.critical_clock.append(name)
+
+    import networkx as nx
 
     g = nx.DiGraph()
     for arc in report.arcs:

@@ -12,13 +12,14 @@ paper's suggested enhancement) and detects the positive-weight cycles that
 signal an unclockable schedule.
 """
 
+from typing import Any
+
 from repro.maxplus.compiled import (
     CompiledMaxPlus,
     compile_system,
     least_fixpoint_arrays,
     slide_arrays,
 )
-from repro.maxplus.cycles import find_positive_cycle, max_cycle_weight
 from repro.maxplus.fixpoint import FixpointResult, least_fixpoint, slide
 from repro.maxplus.system import MaxPlusSystem, WeightedArc
 
@@ -35,3 +36,15 @@ __all__ = [
     "find_positive_cycle",
     "max_cycle_weight",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Import :mod:`.cycles` only when a cycle query is asked for.
+
+    Only a divergent schedule (or a test) looks for cycles.
+    """
+    if name in ("find_positive_cycle", "max_cycle_weight"):
+        from repro.maxplus import cycles
+
+        return getattr(cycles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

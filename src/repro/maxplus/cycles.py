@@ -9,36 +9,43 @@ settle into a periodic steady state.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.maxplus.system import MaxPlusSystem
 
 
-def _cycle_graph(system: MaxPlusSystem) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(n for n in system.nodes if n not in system.frozen)
+def _cycle_adjacency(system: MaxPlusSystem) -> dict[str, dict[str, float]]:
+    """``{src: {dst: weight}}`` over the non-frozen nodes, in system order.
+
+    Parallel dependencies keep the heaviest weight: it dominates in
+    max-plus.
+    """
+    adj: dict[str, dict[str, float]] = {
+        n: {} for n in system.nodes if n not in system.frozen
+    }
     for arc in system.arcs:
         if arc.src in system.frozen or arc.dst in system.frozen:
             continue  # frozen nodes never propagate increases
-        if g.has_edge(arc.src, arc.dst):
-            # Parallel dependencies: the heavier one dominates in max-plus.
-            g[arc.src][arc.dst]["weight"] = max(
-                g[arc.src][arc.dst]["weight"], arc.weight
-            )
-        else:
-            g.add_edge(arc.src, arc.dst, weight=arc.weight)
-    return g
+        out = adj.setdefault(arc.src, {})
+        adj.setdefault(arc.dst, {})
+        weight = out.get(arc.dst)
+        out[arc.dst] = arc.weight if weight is None else max(weight, arc.weight)
+    return adj
 
 
 def max_cycle_weight(system: MaxPlusSystem) -> float:
-    """The maximum total weight over all simple cycles (-inf if acyclic)."""
-    g = _cycle_graph(system)
+    """The maximum total weight over all simple cycles (-inf if acyclic).
+
+    Enumerates ``networkx.simple_cycles``: exponential in the worst case.
+    """
+    import networkx as nx
+
+    adj = _cycle_adjacency(system)
+    g = nx.DiGraph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((a, b) for a, out in adj.items() for b in out)
     best = float("-inf")
     for cycle in nx.simple_cycles(g):
         closed = cycle + [cycle[0]]
-        weight = sum(
-            g[a][b]["weight"] for a, b in zip(closed, closed[1:])
-        )
+        weight = sum(adj[a][b] for a, b in zip(closed, closed[1:]))
         best = max(best, weight)
     return best
 
@@ -52,8 +59,8 @@ def find_positive_cycle(
     node still relaxing after |V| rounds lies on (or is reachable from) a
     positive cycle, which is then recovered by walking predecessors.
     """
-    g = _cycle_graph(system)
-    nodes = list(g.nodes)
+    adj = _cycle_adjacency(system)
+    nodes = list(adj)
     if not nodes:
         return None
     dist = {n: 0.0 for n in nodes}
@@ -61,14 +68,15 @@ def find_positive_cycle(
     flagged: str | None = None
     for round_idx in range(len(nodes) + 1):
         changed = False
-        for a, b, data in g.edges(data=True):
-            cand = dist[a] + data["weight"]
-            if cand > dist[b] + tol:
-                dist[b] = cand
-                pred[b] = a
-                changed = True
-                if round_idx == len(nodes):
-                    flagged = b
+        for a, out in adj.items():
+            for b, weight in out.items():
+                cand = dist[a] + weight
+                if cand > dist[b] + tol:
+                    dist[b] = cand
+                    pred[b] = a
+                    changed = True
+                    if round_idx == len(nodes):
+                        flagged = b
         if not changed:
             return None
     if flagged is None:  # pragma: no cover - changed implies flagged on last round

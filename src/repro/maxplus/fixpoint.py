@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import AnalysisError, DivergentTimingError
-from repro.maxplus.cycles import find_positive_cycle
 from repro.maxplus.system import MaxPlusSystem
 from repro.obs import metrics, trace
 
@@ -304,6 +303,8 @@ def _fallback_to_least(system: MaxPlusSystem, method: str) -> FixpointResult:
 
 
 def _raise_divergent(system: MaxPlusSystem) -> None:
+    from repro.maxplus.cycles import find_positive_cycle
+
     cycle = find_positive_cycle(system)
     if cycle:
         path = " -> ".join(cycle + [cycle[0]])

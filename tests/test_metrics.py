@@ -244,6 +244,16 @@ class TestExposition:
 # ----------------------------------------------------------------------
 # Serve integration: histogram quantiles vs raw-sample percentiles
 # ----------------------------------------------------------------------
+def _rank_statistic(sample: list[float], q: float) -> float:
+    """The order statistic that :meth:`Histogram.quantile`'s rank names.
+
+    The histogram interpolates inside the bucket holding rank
+    ``q * count``: the ``ceil(q * count)``-th smallest observation.
+    """
+    ordered = sorted(sample)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
 class TestServeHistogram:
     def _run_jobs(self, n=6):
         # Every finished job -- executed or cache hit -- records one
@@ -265,10 +275,20 @@ class TestServeHistogram:
     def test_bucket_quantiles_agree_with_deque_within_bucket_width(self):
         counters, text, hist, raw = self._run_jobs()
         assert hist.count == len(raw) > 0
-        exact = latency_percentiles(raw)
-        for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
-            width = hist.bucket_width_at(q)
-            assert abs(hist.quantile(q) - exact[key]) <= width
+        for q in (0.5, 0.95, 0.99):
+            named = _rank_statistic(raw, q)
+            assert abs(hist.quantile(q) - named) <= hist.bucket_width_at(q)
+
+    def test_rank_convention_matters_for_small_samples(self):
+        # Interpolating at q * (n - 1) (latency_percentiles) lands between
+        # buckets here; the histogram's rank q * count names the 3rd of 6.
+        hist = Histogram("t", (), bounds=(1.0, 2.0, 4.0, 8.0))
+        raw = [0.5, 0.5, 0.5, 7.0, 7.0, 7.0]
+        for value in raw:
+            hist.observe(value)
+        width = hist.bucket_width_at(0.5)
+        assert abs(hist.quantile(0.5) - latency_percentiles(raw)["p50"]) > width
+        assert abs(hist.quantile(0.5) - _rank_statistic(raw, 0.5)) <= width
 
     def test_metrics_text_has_histograms_and_no_duplicate_series(self):
         counters, text, hist, raw = self._run_jobs(n=2)

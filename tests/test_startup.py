@@ -1,8 +1,10 @@
 """Start-up cost: what ``import repro.cli`` loads, and the lazy exports.
 
-The default ``minimize``/``lint``/``sweep`` commands never touch scipy,
-the netlist substrate, the simulator, the baselines, the exporters or the
-SVG renderer, so importing the CLI must not load them either.
+The default ``minimize``/``lint``/``sweep``/``analyze`` commands never
+touch scipy, networkx, the netlist substrate, the simulator, the
+baselines, the exporters or the SVG renderer, so importing the CLI must
+not load them either -- and networkx stays unloaded while those commands
+run.
 """
 
 from __future__ import annotations
@@ -19,10 +21,14 @@ from repro.cli import main
 from repro.lp.backends import available_backends
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-EXAMPLE1 = os.path.join(os.path.dirname(SRC), "examples", "example1.lcd")
+EXAMPLES = os.path.join(os.path.dirname(SRC), "examples")
+EXAMPLE1 = os.path.join(EXAMPLES, "example1.lcd")
+#: example1 clocked at 50 -- below its optimum of 110, so departures diverge.
+DIVERGENT = os.path.join(EXAMPLES, "infeasible_demo.lcd")
 
 DEFERRED = (
     "scipy",
+    "networkx",
     "repro.netlist",
     "repro.sim",
     "repro.baselines",
@@ -59,6 +65,71 @@ class TestColdImport:
         loaded = _modules_after("from repro import to_dot, schedule_svg")
         assert {"repro.export", "repro.render.svg"} <= loaded
         assert "repro.sim" not in loaded
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str, bool]:
+    """Exit code, stdout and whether networkx loaded, in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('networkx loaded:', 'networkx' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert "Traceback" not in done.stderr, done.stderr
+    *lines, last = done.stdout.splitlines()
+    return done.returncode, "\n".join(lines), last == "networkx loaded: True"
+
+
+def _example1_at_optimum(tmp_path) -> str:
+    """example1 with its optimal clock (Tc = 110) written into the file."""
+    with open(EXAMPLE1, encoding="utf-8") as handle:
+        text = handle.read()
+    clock = (
+        "clock {\n  period 110.0;\n"
+        "  phase phi1 start 0.0 width 60.0;\n"
+        "  phase phi2 start 70.0 width 20.0;\n}"
+    )
+    path = tmp_path / "example1_clocked.lcd"
+    path.write_text(text.replace("clock {\n  phase phi1;\n  phase phi2;\n}", clock))
+    return str(path)
+
+
+class TestNetworkxOffDefaultPaths:
+    @pytest.mark.parametrize(
+        "argv, code, expect",
+        [
+            (["minimize", EXAMPLE1], 0, "optimal cycle time: 110"),
+            (["minimize", EXAMPLE1, "--backend", "cycle"], 0, "cycle time: 110"),
+            (["lint", "--format", "json", EXAMPLE1], 0, '"ok": true'),
+            (["lint", "--format", "json", DIVERGENT], 1, '"LINT302"'),
+            (["sweep", EXAMPLE1, "L4", "L1", "--lo", "0", "--hi", "140"], 0, "0.5"),
+            (["analyze", DIVERGENT], 1, "positive-weight dependency cycle"),
+        ],
+        ids=["minimize", "minimize-cycle", "lint", "lint-error", "sweep", "divergent"],
+    )
+    def test_default_command_leaves_networkx_unloaded(self, argv, code, expect):
+        returncode, out, loaded = _run_cli(argv)
+        assert returncode == code, out
+        assert expect in out
+        assert not loaded
+
+    def test_analyze_at_a_feasible_clock(self, tmp_path):
+        design = _example1_at_optimum(tmp_path)
+        returncode, out, loaded = _run_cli(["analyze", design])
+        assert returncode == 0, out
+        assert "feasible: True" in out
+        assert not loaded
+
+    def test_critical_segments_still_load_networkx(self):
+        returncode, out, loaded = _run_cli(["minimize", EXAMPLE1, "--critical"])
+        assert returncode == 0, out
+        assert "optimal cycle time: 110" in out
+        assert loaded
 
 
 class TestLazyExports:
