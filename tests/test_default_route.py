@@ -10,7 +10,8 @@ Pinned down here:
   and on seeded generated designs, default :func:`minimize_cycle_time`
   and the paper's dense tableau (``backend="simplex"``) agree on Tc,
   every schedule value and every departure to 1e-9 relative, and the
-  cycle engine answered without a silent fallback.
+  cycle engine answered both the Tc and the compact pass without a
+  silent fallback.
 * **Certified duals** -- the critical-cycle multipliers satisfy the sign
   conditions, dual feasibility and strong duality, and the swept arc's
   dual is the finite-difference slope of Tc away from breakpoints.
@@ -72,6 +73,7 @@ def _assert_same_answer(graph: TimingGraph) -> None:
     default = minimize_cycle_time(graph)
     paper = minimize_cycle_time(graph, mlp=MLPOptions(backend="simplex"))
     assert default.extra["cycle"]["used"] is True, default.extra["cycle"]
+    assert default.extra["compact"]["used"] is True, default.extra["compact"]
     assert default.lp_tc_result.backend == "cycle"
     assert paper.lp_tc_result.backend == "simplex"
     assert _close(default.period, paper.period)
@@ -129,6 +131,7 @@ class TestDefaultVsPaper:
             # of this design is CI's `batch --backend cycle+check` run.
             result = minimize_cycle_time(graph, mlp=MLPOptions(verify=False))
             assert result.extra["cycle"]["used"] is True
+            assert result.extra["compact"]["used"] is True
             return
         if not solve(smo.program, backend="simplex").ok:
             with pytest.raises(InfeasibleError):
