@@ -20,11 +20,7 @@ import time
 import pytest
 
 from repro.circuit.generate import random_multiloop_circuit
-from repro.core.constraints import (
-    build_maxplus_system,
-    build_program,
-    recost_arc_delay,
-)
+from repro.core.constraints import build_maxplus_system, build_program
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.core.reporting import format_comparison
 from repro.designs.generators import banked_array, pipeline
@@ -127,9 +123,7 @@ def test_constraint_count_scales_linearly(benchmark, emit):
 # The random-multiloop sweep above tops out at a few hundred constraints;
 # this grid drives the CSR/CSC substrate where it matters.  Every point
 # solves the same circuit with the sparse revised simplex and with the
-# graph-native critical-cycle backend and demands bit-tight agreement,
-# then re-solves a one-arc recosted variant from the cold optimal basis
-# to show the warm-start pivot savings the eta-file factorization buys.
+# graph-native critical-cycle backend and demands bit-tight agreement.
 #
 # The full grid ends at a 10,242-latch banked array whose sparse solve
 # runs for minutes (the pivot count, not memory, is the cost: the LP is
@@ -179,20 +173,6 @@ def measure_sparse():
         )
         cycle_s = time.perf_counter() - t0
 
-        # Recost one arc (rhs-only change, structurally identical LP) and
-        # re-solve from the cold run's optimal basis.
-        arc = circuit.arcs[0]
-        recosted = recost_arc_delay(smo, arc.src, arc.dst, arc.delay + 5.0)
-        basis = sparse.lp_result.extra.get("basis")
-        t0 = time.perf_counter()
-        warm = minimize_cycle_time(
-            circuit,
-            mlp=MLPOptions(backend="sparse", **fast),
-            warm_start=basis,
-            smo=recosted,
-        )
-        warm_s = time.perf_counter() - t0
-
         rows.append(
             {
                 "design": f"{kind} {a}x{b}",
@@ -202,12 +182,9 @@ def measure_sparse():
                 "Tc (sparse)": sparse.period,
                 "Tc (cycle)": cycle.period,
                 "|diff|": abs(sparse.period - cycle.period),
-                "pivots cold": sparse.lp_result.iterations,
-                "pivots warm": warm.lp_result.iterations,
-                "warm": warm.lp_result.extra.get("warm_start"),
+                "pivots": sparse.lp_result.iterations,
                 "sparse s": round(sparse_s, 2),
                 "cycle s": round(cycle_s, 2),
-                "warm s": round(warm_s, 2),
                 "dense views": DENSE_STATS.count - dense_before,
             }
         )
@@ -224,11 +201,6 @@ def test_sparse_scaling_grid(benchmark, emit):
         # O(nnz) all the way down: no dense (m, n) materialization
         # anywhere on the sparse or cycle path.
         assert row["dense views"] == 0, row
-        # Warm-starting from the cold optimal basis skips phase 1 and
-        # repivots only locally; the savings must be drastic, not
-        # marginal (the recost moves a single rhs entry).
-        assert row["warm"] == "hit", row
-        assert row["pivots warm"] < max(20, row["pivots cold"] // 10), row
         # Constraint growth stays linear in latches, as for the random
         # sweep above.
         assert row["constraints"] <= 6 * row["latches"] + 12
@@ -244,11 +216,9 @@ def test_sparse_scaling_grid(benchmark, emit):
                 "constraints",
                 "Tc (sparse)",
                 "Tc (cycle)",
-                "pivots cold",
-                "pivots warm",
+                "pivots",
                 "sparse s",
                 "cycle s",
-                "warm s",
             ],
             "Sparse LP vs critical cycle on generator families",
         ),

@@ -242,27 +242,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     graph, _ = _load(args.file)
     options = _constraint_options(args)
-    # One Tc solve per distinct point.  A named warm-startable backend
-    # (revised, sparse) seeds each solve from the nearest solved point's
-    # basis unless --cold-start is given.
+    # One Tc solve per distinct point.
     mlp = MLPOptions(
-        backend=args.backend,
-        verify=False,
-        compact=False,
-        warm_start=not args.cold_start,
-        kernel=args.kernel,
+        backend=args.backend, verify=False, compact=False, kernel=args.kernel
     )
     if args.exact:
-        # Bisection is sequential, but the engine cache still dedupes
-        # the repeated endpoint evaluations inside refine_breakpoint.
-        engine = None
-        if args.jobs > 1:
-            from repro.engine import Engine
-
-            engine = Engine(jobs=1)
         result = exact_sweep_delay(
-            graph, args.src, args.dst, args.lo, args.hi, options=options,
-            mlp=mlp, engine=engine,
+            graph, args.src, args.dst, args.lo, args.hi, options=options, mlp=mlp
         )
     else:
         steps = max(2, args.points)
@@ -746,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--points", type=int, default=29, help="grid size")
     p.add_argument("--exact", action="store_true",
-                   help="adaptive exact breakpoints instead of a grid")
+                   help="exact breakpoints from the Tc solves' slopes instead "
+                   "of a grid")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for grid evaluation (default 1)")
     p.add_argument("--backend", default=None, help=_backend_help())
@@ -754,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("dict", "array", "auto"),
                    help="fixpoint kernel for the departure slide "
                    "(default auto)")
-    p.add_argument("--cold-start", action="store_true", dest="cold_start",
-                   help="disable warm-started solves of the revised and "
-                   "sparse backends (identical results, more pivots)")
     _add_common_constraints(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -447,9 +447,8 @@ def recost_arc_delay(
     point instead of a full :func:`build_program` circuit walk.
 
     The returned program is *structurally identical* to the original (same
-    variables, constraint names and senses), which is precisely the
-    condition under which an optimal :class:`~repro.lp.basis.Basis` from
-    one point can warm-start the next.
+    variables, constraint names and senses), so the arc's row names -- and
+    the Tc solve's duals on them, the sweep's slope -- carry over.
     """
     arc = smo.graph.arc(src, dst)
     if arc is None:

@@ -56,14 +56,6 @@ class MLPOptions:
     therefore the same schedule on every backend.  The optimal cycle
     time is unaffected.
 
-    ``warm_start`` enables basis reuse on repeated solves: when True and a
-    caller supplies the previous solve's optimal basis (sweeps and the
-    batch engine thread one through automatically), warm-start-capable
-    backends (``"revised"``) start phase 2 directly from it.  Warm
-    starting is purely a performance device -- an unusable basis falls
-    back to a cold start inside the solver, so reported optima are
-    unaffected either way.
-
     ``kernel`` selects the execution engine for the slide (step 3-5
     fixpoint iteration): ``"dict"`` runs the reference implementation over
     Python dicts, ``"array"`` the compiled numpy kernels of
@@ -104,7 +96,6 @@ class MLPOptions:
     verify: bool = True
     compact: bool = True
     tol: float = 1e-9
-    warm_start: bool = True
     kernel: str = "auto"
     sanitize: bool = False
 
@@ -211,20 +202,15 @@ def minimize_cycle_time(
     graph: TimingGraph,
     options: ConstraintOptions | None = None,
     mlp: MLPOptions | None = None,
-    warm_start=None,
     smo: SMOProgram | None = None,
 ) -> OptimalClockResult:
     """Find the minimum cycle time and an optimal clock schedule (Algorithm MLP).
 
-    ``warm_start`` optionally supplies a previous solve's optimal
-    :class:`~repro.lp.basis.Basis` for the Tc pass (used when
-    ``mlp.warm_start`` is enabled and the backend supports it; see
-    :mod:`repro.lp.revised_simplex`); ``smo`` optionally supplies a
-    pre-built constraint system for ``graph``/``options`` -- the
-    parametric sweep passes the re-costed program from
-    :func:`repro.core.constraints.recost_arc_delay` here to skip the
-    circuit walk.  Both are pure performance devices: the reported optimum
-    is identical with or without them.
+    ``smo`` optionally supplies a pre-built constraint system for
+    ``graph``/``options`` -- the parametric sweep passes the re-costed
+    program from :func:`repro.core.constraints.recost_arc_delay` here to
+    skip the circuit walk.  It is a pure performance device: the reported
+    optimum is identical with or without it.
 
     Raises :class:`repro.errors.InfeasibleError` when the constraint system
     has no solution (e.g. contradictory fixed clock values) and
@@ -242,9 +228,8 @@ def minimize_cycle_time(
             smo = build_program(graph, options)
         cg_span.set("constraints", len(smo.program.constraints))
     stages["constraint_gen"] = time.perf_counter() - build_start
-    basis_in = warm_start if mlp.warm_start else None
     tc_result = solve(
-        smo.program, backend=mlp.backend, warm_start=basis_in, context=smo
+        smo.program, backend=mlp.backend, context=smo
     ).raise_for_status()
     lp_solves = 1
     lp_iterations = tc_result.iterations
@@ -300,13 +285,6 @@ def minimize_cycle_time(
     result.extra["lp_solves"] = lp_solves
     result.extra["lp_iterations"] = lp_iterations
     result.extra["slide_residual"] = fix.residual
-    # Warm-start bookkeeping for the Tc pass (the compact tie-break pass is
-    # a different program -- extra FIX row, different objective -- so it is
-    # always solved cold and never offered a basis).
-    outcome = tc_result.extra.get("warm_start")
-    result.extra["warm_start"] = outcome
-    result.extra["warm_start_hits"] = 1 if outcome == "hit" else 0
-    result.extra["warm_start_misses"] = 1 if outcome == "miss" else 0
     result.extra["refactorizations"] = int(
         tc_result.extra.get("refactorizations", 0)
     ) + int(
@@ -314,9 +292,6 @@ def minimize_cycle_time(
         if lp_result is not tc_result
         else 0
     )
-    basis_out = tc_result.extra.get("basis")
-    if basis_out is not None:
-        result.extra["basis"] = basis_out
     if isinstance(cycle_info, dict):
         result.extra["cycle"] = cycle_info
     if "compact" in lp_result.extra:

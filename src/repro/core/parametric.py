@@ -1,24 +1,23 @@
 """Parametric delay sweeps: the piecewise-linear Tc(Delta) curves of Fig. 7.
 
 Linear-programming theory guarantees that the optimal cycle time is a
-piecewise-linear convex function of any single delay parameter.  The sweep
-utilities evaluate Tc over a grid, recover the linear segments and their
-breakpoints, and optionally refine breakpoint locations by bisection --
-reproducing, for example 1, the paper's three segments (flat at 80 ns,
-slope 1/2, slope 1) with breakpoints at Delta_41 = 20 and 100 ns.
+piecewise-linear convex function of any single delay parameter.  The grid
+sweep evaluates Tc over a grid and recovers the linear segments; the exact
+sweep finds every segment from the Tc solves' duals, which give the slope
+of the curve at each evaluated point -- reproducing, for example 1, the
+paper's three segments (flat at 80 ns, slope 1/2, slope 1) with
+breakpoints at Delta_41 = 20 and 100 ns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.circuit.graph import TimingGraph
 from repro.core.constraints import ConstraintOptions, build_program, recost_arc_delay
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.errors import ReproError
-from repro.lp.backends import supports_warm_start
-from repro.lp.basis import Basis
 
 
 @dataclass(frozen=True)
@@ -27,36 +26,6 @@ class SweepPoint:
 
     parameter: float
     period: float
-
-
-class BasisChain:
-    """Nearest-neighbor store of optimal bases along a one-parameter sweep.
-
-    Optimal bases vary slowly along a delay sweep, but a basis from a
-    *distant* point is often primal-infeasible at the new right-hand side
-    (the guard then falls back to a cold solve).  Keeping every solved
-    point's basis and seeding each new solve from the geometrically
-    nearest one raises the warm-start hit rate substantially over a
-    "last solved wins" chain -- bisection in particular revisits
-    midpoints far from the most recent solve.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[float, Basis]] = []
-        #: pivot count of the chain's first cold solve -- the anchor the
-        #: engine uses to estimate ``pivots_saved`` on warm hits.
-        self.cold_hint: int = 0
-
-    def get(self, x: float) -> Basis | None:
-        """The stored basis nearest to parameter value ``x`` (None if empty)."""
-        if not self._entries:
-            return None
-        return min(self._entries, key=lambda entry: abs(entry[0] - x))[1]
-
-    def put(self, x: float, basis: Basis | None) -> None:
-        if basis is None:
-            return
-        self._entries.append((float(x), basis))
 
 
 @dataclass(frozen=True)
@@ -191,134 +160,108 @@ def sweep_delay(
     return engine.map_sweep(job)
 
 
-def _reconstruct_pieces(
-    evaluate: Callable[[float], float],
-    lo: float,
-    f_lo: float,
-    hi: float,
-    f_hi: float,
-    value_tol: float,
-    min_width: float,
-) -> list[tuple[float, float, float, float]]:
-    """Recursively split [lo, hi] until each piece is linear (chord test)."""
-    mid = 0.5 * (lo + hi)
-    if hi - lo <= min_width:
-        return [(lo, f_lo, hi, f_hi)]
-    f_mid = evaluate(mid)
-    chord = 0.5 * (f_lo + f_hi)
-    if abs(f_mid - chord) <= value_tol:
-        return [(lo, f_lo, hi, f_hi)]
-    left = _reconstruct_pieces(evaluate, lo, f_lo, mid, f_mid, value_tol, min_width)
-    right = _reconstruct_pieces(evaluate, mid, f_mid, hi, f_hi, value_tol, min_width)
-    return left + right
+#: Relative tolerance of every comparison :func:`exact_sweep` makes.
+_REL_TOL = 1e-9
 
 
-@dataclass
-class _Line:
-    """A fitted line of :func:`exact_sweep` and the sampled span it covers."""
+class _Support(NamedTuple):
+    """The line ``value + slope * (t - x)`` supporting the curve at ``x``."""
 
+    x: float
+    value: float
     slope: float
-    intercept: float
-    start: float
-    f_start: float
-    end: float
-    f_end: float
 
-    def value(self, x: float) -> float:
-        return self.intercept + self.slope * x
+    def at(self, t: float) -> float:
+        return self.value + self.slope * (t - self.x)
 
-    def meet(self, other: "_Line") -> float:
-        """Where this line and ``other`` intersect."""
-        return (self.intercept - other.intercept) / (other.slope - self.slope)
+    @property
+    def intercept(self) -> float:
+        return self.value - self.slope * self.x
 
 
-def _drop_chords(
-    evaluate: Callable[[float], float],
-    lines: list[_Line],
-    value_tol: float,
-) -> list[_Line]:
-    """Remove lines that are chords across a kink of the convex curve.
+def _support(
+    evaluate: Callable[[float], tuple[float, float]], x: float
+) -> _Support:
+    value, slope = evaluate(x)
+    return _Support(float(x), float(value), float(slope))
 
-    A piece that straddles a kink yet passed the chord test carries a
-    blended slope.  Its sampled ends then lie on its neighbours' lines,
-    which meet inside its span, and the curve at that intersection lies
-    on both of them, below the chord (a chord lies above a convex
-    curve): the neighbours alone describe the curve there, so the line
-    is dropped.  A true segment whose sampled ends happen to sit on both
-    kinks passes the first test but not the second, which costs one
-    evaluation.
+
+def _sandwich(
+    evaluate: Callable[[float], tuple[float, float]],
+    left: _Support,
+    right: _Support,
+) -> list[tuple[float, _Support]]:
+    """The kinks of the curve between ``left.x`` and ``right.x``.
+
+    Returns ``(x, line)`` pairs in order: from ``x`` on, the curve follows
+    ``line``.  The two supporting lines sandwich the convex curve between
+    them and its chord; where they meet, either the curve lies on both
+    (a kink, found without evaluating when it sits at an end of the
+    interval) or above both, and that point's own line splits the
+    interval.  The curve below a supporting line means the oracle's
+    slope is no subgradient.
     """
-    kept: list[_Line] = []
-    for i, line in enumerate(lines):
-        if kept and i + 1 < len(lines):
-            left, right = kept[-1], lines[i + 1]
-            if (
-                left.slope < right.slope
-                and abs(left.value(line.start) - line.f_start) <= value_tol
-                and abs(right.value(line.end) - line.f_end) <= value_tol
-            ):
-                kink = left.meet(right)
-                if (
-                    line.start <= kink <= line.end
-                    and abs(evaluate(kink) - left.value(kink)) <= value_tol
-                ):
-                    continue
-        kept.append(line)
-    return kept
+    a, b = left.x, right.x
+    tol = _REL_TOL * max(1.0, abs(left.value), abs(right.value))
+    # h = right - left is linear, <= 0 at a and >= 0 at b for true supports.
+    h_a, h_b = right.at(a) - left.value, right.value - left.at(b)
+    if h_a > tol or h_b < -tol:
+        raise ReproError(
+            f"slopes {left.slope!r} at {a!r} and {right.slope!r} at {b!r} "
+            "do not support a convex curve"
+        )
+    if h_a >= -tol:
+        # The right line passes through the left point: one line if they
+        # coincide, else a kink at a.
+        return [] if h_b <= tol else [(a, right)]
+    if h_b <= tol:
+        return [(b, right)]
+    x = a - h_a * (b - a) / (h_b - h_a)
+    meet = left.at(x)
+    mid = _support(evaluate, x)
+    if abs(mid.value - meet) <= tol:
+        return [(x, right)]
+    if mid.value < meet:
+        raise ReproError(
+            f"Tc({x!r}) = {mid.value!r} lies below the supporting lines "
+            f"at {a!r} and {b!r}: the oracle's slope is no subgradient"
+        )
+    return _sandwich(evaluate, left, mid) + _sandwich(evaluate, mid, right)
 
 
 def exact_sweep(
-    evaluate: Callable[[float], float],
+    evaluate: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    value_tol: float = 1e-7,
-    slope_tol: float = 1e-6,
-    min_width: float = 1e-6,
 ) -> SweepResult:
     """Recover the exact piecewise-linear structure of a convex curve.
 
-    Unlike :func:`sweep`, which samples a fixed grid, this adaptively
-    bisects (convexity makes the chord test exact up to tolerance) and then
-    intersects neighboring segment lines, so breakpoint locations come out
-    to solver precision with a number of evaluations proportional to the
-    number of segments -- the parametric-programming capability Section VI
-    anticipates.
+    ``evaluate(x)`` returns the curve's value and a slope at ``x`` (any
+    subgradient where ``x`` is a kink).  The sandwich method brackets the
+    curve between the lines at both ends of an interval, evaluates where
+    they meet and recurses only where the curve lies above them, so a
+    curve with ``s`` segments costs at most ``2s + 1`` evaluations.
+    Breakpoints are intersections of the oracle's lines and slopes are the
+    oracle's own values -- the parametric-programming capability Section
+    VI anticipates.  A kink at ``lo`` or ``hi`` yields no zero-width
+    segment, and a slope that does not support the curve raises
+    :class:`~repro.errors.ReproError`.
     """
     if hi <= lo:
         raise ReproError(f"need hi > lo, got lo={lo}, hi={hi}")
-    f_lo, f_hi = evaluate(lo), evaluate(hi)
-    pieces = _reconstruct_pieces(evaluate, lo, f_lo, hi, f_hi, value_tol, min_width)
-
-    # Pieces that bottomed out at the recursion resolution straddle a kink
-    # and carry a blended slope; drop them (their extent is below the
-    # resolution anyway) and recover the kink by intersecting neighbors.
-    threshold = max(8.0 * min_width, (hi - lo) * 1e-9)
-    wide = [p for p in pieces if (p[2] - p[0]) > threshold]
-    if not wide:  # pathological: keep everything rather than nothing
-        wide = pieces
-
-    # Merge pieces with equal slopes, then intersect neighbors for exact
-    # breakpoints.
-    merged: list[_Line] = []
-    for a, fa, b, fb in wide:
-        slope = (fb - fa) / (b - a)
-        if merged and abs(slope - merged[-1].slope) <= slope_tol:
-            merged[-1].end, merged[-1].f_end = b, fb
-            continue
-        merged.append(_Line(slope, fa - slope * a, a, fa, b, fb))
-    merged = _drop_chords(evaluate, merged, value_tol)
-
-    segments: list[Segment] = []
-    boundaries = [lo]
-    for left, right in zip(merged, merged[1:]):
-        boundaries.append(left.meet(right))
-    boundaries.append(hi)
-    for line, a, b in zip(merged, boundaries, boundaries[1:]):
-        segments.append(
-            Segment(start=a, end=b, slope=line.slope, intercept=line.intercept)
-        )
-
-    points = [SweepPoint(lo, f_lo), SweepPoint(hi, f_hi)]
+    first, last = _support(evaluate, lo), _support(evaluate, hi)
+    pieces = [(float(lo), first)] + _sandwich(evaluate, first, last)
+    ends = [x for x, _ in pieces[1:]] + [float(hi)]
+    width_tol = _REL_TOL * max(1.0, abs(lo), abs(hi))
+    kept = [
+        piece for piece, end in zip(pieces, ends) if end - piece[0] > width_tol
+    ]
+    starts = [float(lo)] + [x for x, _ in kept[1:]]
+    segments = [
+        Segment(start=a, end=b, slope=line.slope, intercept=line.intercept)
+        for a, b, (_, line) in zip(starts, starts[1:] + [float(hi)], kept)
+    ]
+    points = [SweepPoint(lo, first.value), SweepPoint(hi, last.value)]
     return SweepResult(points=points, segments=segments)
 
 
@@ -330,30 +273,16 @@ def exact_sweep_delay(
     hi: float,
     options: ConstraintOptions | None = None,
     mlp: MLPOptions | None = None,
-    value_tol: float = 1e-7,
-    slope_tol: float = 1e-6,
-    engine=None,
 ) -> SweepResult:
     """Exact piecewise-linear Tc(Delta_{src,dst}) over [lo, hi].
 
     Returns segments whose breakpoints are located by line intersection
-    rather than grid resolution; for example 1 this recovers the Fig. 7
-    breakpoints at 20 and 100 ns to solver precision.
-
-    Every evaluation is routed through an engine cache, so the duplicate
-    ``evaluate(x)`` calls the recursive chord test makes at shared piece
-    endpoints are served from the cache instead of re-solved.
+    rather than grid resolution and whose slopes are the Tc solves' own
+    sensitivities; for example 1 this recovers the Fig. 7 breakpoints at
+    20 and 100 ns in five Tc solves.
     """
-    from repro.engine.runner import Engine
-
-    if engine is None:
-        engine = Engine(jobs=1)
-    evaluate = delay_evaluator(
-        graph, src, dst, options=options, mlp=mlp, engine=engine
-    )
-    return exact_sweep(
-        evaluate, lo, hi, value_tol=value_tol, slope_tol=slope_tol
-    )
+    evaluate = delay_evaluator(graph, src, dst, options=options, mlp=mlp)
+    return exact_sweep(evaluate, lo, hi)
 
 
 def delay_evaluator(
@@ -362,99 +291,28 @@ def delay_evaluator(
     dst: str,
     options: ConstraintOptions | None = None,
     mlp: MLPOptions | None = None,
-    engine=None,
-) -> Callable[[float], float]:
-    """A cached ``x -> optimal Tc`` evaluator for one arc delay.
+) -> Callable[[float], tuple[float, float]]:
+    """An ``x -> (optimal Tc, dTc/dDelta)`` oracle for one arc delay.
 
-    Without an engine this is the direct Algorithm-MLP call; with one,
-    repeated evaluations at the same ``x`` hit the result cache.  The
-    sweep consumes only the period, so the default options skip the verify
-    and compact passes (one Tc solve per distinct ``x``, on the default
-    cycle-engine route).
-
-    When ``mlp`` names a warm-startable backend (``"revised"``,
-    ``"sparse"``), successive evaluations warm-start from the nearest
-    solved point's optimal basis, in both modes: the direct path re-costs
-    one constraint system per value (:func:`recost_arc_delay`) and hands
-    the basis to the next solve; the engine path threads it through the
-    job's non-hashed ``warm_start`` slot, so cache keys -- and therefore
-    results -- are identical to a cold run.
+    The constraint system is built once and re-costed per value
+    (:func:`recost_arc_delay`).  The default options skip the verify and
+    compact passes: one Tc solve per value, on the default cycle-engine
+    route.  The slope is ``sum_r rhs_delay_sign[r] * dual[r]`` over the
+    arc's rows -- d rhs / dDelta times the Tc solve's dTc / d rhs.  Any
+    optimal dual is a subgradient of the LP value function, so at a kink
+    the slope lies between the two that meet there.
     """
     mlp = mlp or MLPOptions(verify=False, compact=False)
-    chain_warm = mlp.warm_start and supports_warm_start(mlp.backend)
-    chain = BasisChain()
-    if engine is None:
-        state: dict = {"smo": None}
+    smo = build_program(graph, options or ConstraintOptions())
+    rows = [
+        name for name, pair in smo.arc_of_constraint.items() if pair == (src, dst)
+    ]
 
-        def evaluate(value: float) -> float:
-            if state["smo"] is None:
-                state["smo"] = build_program(graph, options or ConstraintOptions())
-            smo = recost_arc_delay(state["smo"], src, dst, float(value))
-            warm = chain.get(value) if chain_warm else None
-            result = minimize_cycle_time(
-                smo.graph, options, mlp, warm_start=warm, smo=smo
-            )
-            if chain_warm:
-                chain.put(value, result.extra.get("basis"))
-            return result.period
+    def evaluate(value: float) -> tuple[float, float]:
+        recosted = recost_arc_delay(smo, src, dst, float(value))
+        result = minimize_cycle_time(recosted.graph, options, mlp, smo=recosted)
+        duals = result.lp_tc_result.duals
+        slope = sum(smo.rhs_delay_sign[name] * duals.get(name, 0.0) for name in rows)
+        return result.period, slope
 
-        return evaluate
-
-    from repro.engine.jobspec import MinimizeJob
-
-    def evaluate_cached(value: float) -> float:
-        job = MinimizeJob(
-            graph=graph,
-            options=options,
-            mlp=mlp,
-            arc_override=(src, dst, float(value)),
-            label=f"{src}->{dst}={value:g}",
-            warm_start=chain.get(value) if chain_warm else None,
-            cold_pivots_hint=chain.cold_hint,
-        )
-        result = engine.run_jobs([job])[0]
-        if not result.ok:
-            raise ReproError(
-                f"evaluation failed at {value:g}: {result.error}"
-            )
-        if chain_warm:
-            basis_data = result.payload.get("basis")
-            if basis_data:
-                chain.put(value, Basis.from_dict(basis_data))
-            if not chain.cold_hint:
-                chain.cold_hint = int(result.metrics.get("lp_iterations", 0))
-        return float(result.value)
-
-    return evaluate_cached
-
-
-def refine_breakpoint(
-    evaluate: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-4,
-) -> float:
-    """Locate a slope change of a convex piecewise-linear curve in [lo, hi].
-
-    Uses the chord test: the curve departs from the chord exactly around
-    the breakpoint; ternary-style bisection on the deviation converges to
-    the kink.
-    """
-    f_lo, f_hi = evaluate(lo), evaluate(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate(mid)
-        chord = f_lo + (f_hi - f_lo) * (mid - lo) / (hi - lo)
-        # Convexity: curve <= chord; the kink is on the side of the larger gap.
-        left_gap = (f_lo + f_mid) / 2 - evaluate((lo + mid) / 2)
-        right_gap = (f_mid + f_hi) / 2 - evaluate((mid + hi) / 2)
-        tiny = 1e-12 * max(1.0, abs(f_lo), abs(f_hi))
-        if chord - f_mid > tiny and left_gap <= tiny and right_gap <= tiny:
-            # Both halves are linear yet the midpoint sits below the full
-            # chord: the midpoint is exactly the kink.
-            return mid
-        if left_gap >= right_gap:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return evaluate

@@ -35,7 +35,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
@@ -60,9 +59,6 @@ from repro.errors import SolverError
 from repro.lp.model import LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 from repro.obs import metrics, trace
-
-if TYPE_CHECKING:
-    from repro.lp.basis import Basis
 
 _I64 = npt.NDArray[np.int64]
 _F64 = npt.NDArray[np.float64]
@@ -780,7 +776,6 @@ def _solve_pinned(
 # ----------------------------------------------------------------------
 def solve_cycle(
     program: LinearProgram,
-    warm_start: "Basis | None" = None,
     context: object | None = None,
     check: bool = False,
     tol: float = TOL,
@@ -830,9 +825,7 @@ def solve_cycle(
 
         fallback = _fallback_backend(program)
         with trace.span("cycle_fallback", reason=reason or ""):
-            result = lp_solve(
-                program, backend=fallback, warm_start=warm_start
-            )
+            result = lp_solve(program, backend=fallback)
         fallback_info: dict[str, object] = {
             "used": False,
             "reason": reason,
@@ -845,7 +838,7 @@ def solve_cycle(
     if metrics.is_enabled():
         _record_cycle_metrics(result, period)
     if check:
-        _cross_check(program, result, warm_start, tol)
+        _cross_check(program, result, tol)
     return result
 
 
@@ -886,7 +879,6 @@ def _record_cycle_metrics(result: LPResult, period: CyclePeriod | None) -> None:
 def _cross_check(
     program: LinearProgram,
     result: LPResult,
-    warm_start: "Basis | None",
     tol: float,
 ) -> None:
     """Solve the LP reference and assert agreement (``cycle+check``)."""
@@ -899,9 +891,7 @@ def _cross_check(
         info["check"] = {"backend": reference_backend, "delta": 0.0}
         return
     with trace.span("cycle_check", backend=reference_backend):
-        reference = lp_solve(
-            program, backend=reference_backend, warm_start=warm_start
-        )
+        reference = lp_solve(program, backend=reference_backend)
     if result.status is not reference.status:
         raise SolverError(
             f"cycle/LP status disagreement: cycle={result.status.value} "

@@ -3,7 +3,7 @@
 ``repro.engine.jobspec`` derives content-addressed cache keys by
 sha256-hashing canonical JSON built in the ``*_signature`` helpers.
 Anything that makes two runs of the *same* job produce different bytes
-silently poisons the cache: warm-start reuse stops matching, the serve
+silently poisons the cache: repeated jobs stop hitting it, the serve
 store accumulates duplicate rows, and cross-machine result sharing
 breaks -- all without a single failing assertion.  The classic offenders
 are exactly the ones these rules pattern-match:

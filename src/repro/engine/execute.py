@@ -123,11 +123,8 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
                 metrics=job_metrics(wall_seconds=0.0, lp_solves=0),
                 label=job.label,
             )
-    result = minimize_cycle_time(
-        graph, job.options, mlp, warm_start=job.warm_start, smo=smo
-    )
+    result = minimize_cycle_time(graph, job.options, mlp, smo=smo)
     stages = dict(result.extra.get("stages", {}))
-    basis = result.extra.get("basis")
     payload = {
         "period": result.period,
         "schedule": result.schedule.as_dict(),
@@ -136,9 +133,6 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
         "slide_method": result.slide_method,
         "slide_residual": result.slide_residual,
         "feasible": result.feasible,
-        # Plain-data optimal basis (when the backend exposes one) so sweep
-        # chains can warm-start the next grid point through the cache.
-        "basis": basis.to_dict() if basis is not None else None,
     }
     if lint_payload is not None:
         payload["lint"] = lint_payload
@@ -148,11 +142,6 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
     compact = result.extra.get("compact")
     if isinstance(compact, dict):
         payload["compact"] = compact
-    hits = int(result.extra.get("warm_start_hits", 0))
-    lp_iterations = int(result.extra.get("lp_iterations", 0))
-    pivots_saved = 0
-    if hits and job.cold_pivots_hint > 0:
-        pivots_saved = max(0, job.cold_pivots_hint - lp_iterations)
     return JobResult(
         key=key,
         kind=job.kind,
@@ -163,11 +152,8 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
             wall_seconds=0.0,  # overwritten by execute_job
             stages=stages,
             lp_solves=int(result.extra.get("lp_solves", 1)),
-            lp_iterations=lp_iterations,
+            lp_iterations=int(result.extra.get("lp_iterations", 0)),
             slide_sweeps=result.slide_sweeps,
-            warm_start_hits=hits,
-            warm_start_misses=int(result.extra.get("warm_start_misses", 0)),
-            pivots_saved=pivots_saved,
             refactorizations=int(result.extra.get("refactorizations", 0)),
             compact_fallbacks=int(
                 isinstance(compact, dict) and not compact["used"]

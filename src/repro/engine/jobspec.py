@@ -28,7 +28,6 @@ from repro.core.constraints import ConstraintOptions
 from repro.core.mlp import MLPOptions
 from repro.lp.backends import canonical_backend
 from repro.errors import ReproError
-from repro.lp.basis import Basis
 
 #: Bump when the signature layout changes so stale disk caches never match.
 SIGNATURE_VERSION = 2
@@ -137,7 +136,6 @@ def mlp_signature(mlp: MLPOptions | None) -> dict | None:
         "verify": mlp.verify,
         "compact": mlp.compact,
         "tol": _f(mlp.tol),
-        "warm_start": mlp.warm_start,
     }
 
 
@@ -158,17 +156,12 @@ class MinimizeJob:
     it so that every grid point of the same base circuit shares one graph
     object instead of materializing a modified copy per job.
 
-    ``warm_start``, ``cold_pivots_hint`` and ``kernel`` are *hints*,
-    deliberately excluded from :meth:`signature`: a warm-start basis
-    changes the pivot path, never the optimum, so two jobs that differ
-    only in their hints must share one cache entry.  ``cold_pivots_hint``
-    anchors the ``pivots_saved`` metric -- it carries the pivot count of
-    the chain's cold solve so warm solves can report how much work the
-    basis skipped.  ``kernel`` overrides the fixpoint execution engine
-    (``"dict"``/``"array"``/``"auto"``, see
-    :attr:`repro.core.mlp.MLPOptions.kernel`); it is a pure performance
-    device -- every kernel the engine selects produces identical results,
-    so it must not split the cache either.
+    ``kernel`` is a *hint*, deliberately excluded from :meth:`signature`:
+    it overrides the fixpoint execution engine (``"dict"``/``"array"``/
+    ``"auto"``, see :attr:`repro.core.mlp.MLPOptions.kernel`), a pure
+    performance device -- every kernel the engine selects produces
+    identical results, so two jobs that differ only in it must share one
+    cache entry.
     """
 
     graph: TimingGraph
@@ -176,9 +169,7 @@ class MinimizeJob:
     mlp: MLPOptions | None = None
     arc_override: tuple[str, str, float] | None = None
     label: str = ""
-    # Performance hints -- not part of the cache signature (see docstring).
-    warm_start: Basis | None = None
-    cold_pivots_hint: int = 0
+    # Performance hint -- not part of the cache signature (see docstring).
     kernel: str | None = None
 
     kind = "minimize"

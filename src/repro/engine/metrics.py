@@ -72,17 +72,11 @@ def job_metrics(
     lp_solves: int = 0,
     lp_iterations: int = 0,
     slide_sweeps: int = 0,
-    warm_start_hits: int = 0,
-    warm_start_misses: int = 0,
-    pivots_saved: int = 0,
     refactorizations: int = 0,
     compact_fallbacks: int = 0,
 ) -> dict:
     """The flat metrics dict attached to a :class:`~repro.engine.jobspec.JobResult`.
 
-    ``warm_start_hits``/``warm_start_misses`` count basis reuse outcomes on
-    the Tc pass; ``pivots_saved`` estimates skipped pivots against the
-    chain's cold anchor (``MinimizeJob.cold_pivots_hint``);
     ``refactorizations`` counts basis-inverse rebuilds inside the revised
     simplex backend; ``compact_fallbacks`` counts compact passes the
     graph could not certify, so a simplex answered them.
@@ -93,9 +87,6 @@ def job_metrics(
         "lp_solves": lp_solves,
         "lp_iterations": lp_iterations,
         "slide_sweeps": slide_sweeps,
-        "warm_start_hits": warm_start_hits,
-        "warm_start_misses": warm_start_misses,
-        "pivots_saved": pivots_saved,
         "refactorizations": refactorizations,
         "compact_fallbacks": compact_fallbacks,
     }
@@ -120,9 +111,6 @@ class EngineReport:
     lp_solves: int = 0
     lp_iterations: int = 0
     slide_sweeps: int = 0
-    warm_start_hits: int = 0
-    warm_start_misses: int = 0
-    pivots_saved: int = 0
     refactorizations: int = 0
     compact_fallbacks: int = 0
     cache_hits: int = 0
@@ -181,13 +169,6 @@ class EngineReport:
                 )
                 + f" ({self.store_path})"
             )
-        if self.warm_start_hits or self.warm_start_misses:
-            lines.append(
-                f"warm starts: {self.warm_start_hits} hits / "
-                f"{self.warm_start_misses} misses, "
-                f"~{self.pivots_saved} pivots saved, "
-                f"{self.refactorizations} refactorizations"
-            )
         known = [s for s in STAGES if s in self.stage_seconds]
         extra = sorted(set(self.stage_seconds) - set(known))
         parts = [
@@ -227,9 +208,6 @@ class MetricsAggregator:
             r.lp_solves += int(metrics.get("lp_solves", 0))
             r.lp_iterations += int(metrics.get("lp_iterations", 0))
             r.slide_sweeps += int(metrics.get("slide_sweeps", 0))
-            r.warm_start_hits += int(metrics.get("warm_start_hits", 0))
-            r.warm_start_misses += int(metrics.get("warm_start_misses", 0))
-            r.pivots_saved += int(metrics.get("pivots_saved", 0))
             r.refactorizations += int(metrics.get("refactorizations", 0))
             r.compact_fallbacks += int(metrics.get("compact_fallbacks", 0))
 

@@ -24,14 +24,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.mlp import MLPOptions
-from repro.core.parametric import BasisChain, SweepPoint, SweepResult, _fit_segments
+from repro.core.parametric import SweepPoint, SweepResult, _fit_segments
 from repro.engine.cache import ResultCache
 from repro.engine.jobspec import Job, JobResult, MinimizeJob, SweepJob, job_key
 from repro.engine.metrics import EngineReport, MetricsAggregator
 from repro.engine.pool import make_pool
 from repro.errors import ReproError
-from repro.lp.backends import supports_warm_start
-from repro.lp.basis import Basis
 from repro.obs import metrics, trace
 
 
@@ -184,53 +182,27 @@ class Engine:
         solved: set[int] = set()
         intervals = [(0, n - 1)] if n > 2 else []
         spans: list[tuple[int, int]] = []
-        # Warm-start chain state: adjacent grid points share almost all of
-        # their optimal basis, so each job is seeded with the basis of the
-        # geometrically nearest solved point.  The hints ride outside the
-        # cache key (see MinimizeJob), so chaining never fragments the
-        # cache or changes any value.
-        chaining = bool(mlp.warm_start) and supports_warm_start(mlp.backend)
-        chain = BasisChain()
-
-        def _make_job(i: int) -> MinimizeJob:
-            return MinimizeJob(
-                graph=job.graph,
-                options=job.options,
-                mlp=mlp,
-                arc_override=(job.src, job.dst, grid[i]),
-                label=f"{job.src}->{job.dst}={grid[i]:g}",
-                warm_start=chain.get(grid[i]) if chaining else None,
-                cold_pivots_hint=chain.cold_hint if chaining else 0,
-            )
-
-        def _absorb(i: int, result: JobResult) -> None:
-            if not result.ok:
-                raise ReproError(
-                    f"sweep evaluation failed at {grid[i]:g}: {result.error}"
-                )
-            values[i] = float(result.value)
-            if not result.cached:
-                solved.add(i)
-            if chaining:
-                raw = result.payload.get("basis")
-                if raw:
-                    chain.put(grid[i], Basis.from_dict(raw))
-                if not chain.cold_hint and not result.cached:
-                    chain.cold_hint = int(result.metrics.get("lp_iterations", 0))
 
         def evaluate_wave(indices: list[int]) -> None:
-            if chaining and self.jobs == 1:
-                # Serial execution: evaluate points one at a time so every
-                # solve can be seeded from its nearest finished neighbor.
-                for i in indices:
-                    _absorb(i, self.run_jobs([_make_job(i)])[0])
-                return
-            # Parallel execution: the wave runs concurrently, so every job
-            # is seeded from the points solved in *previous* waves (still
-            # near-optimal -- wave points neighbor known breakpoints).
-            batch = [_make_job(i) for i in indices]
+            batch = [
+                MinimizeJob(
+                    graph=job.graph,
+                    options=job.options,
+                    mlp=mlp,
+                    arc_override=(job.src, job.dst, grid[i]),
+                    label=f"{job.src}->{job.dst}={grid[i]:g}",
+                )
+                for i in indices
+            ]
             for i, result in zip(indices, self.run_jobs(batch)):
-                _absorb(i, result)
+                if not result.ok:
+                    raise ReproError(
+                        f"sweep evaluation failed at {grid[i]:g}: "
+                        f"{result.error}"
+                    )
+                values[i] = float(result.value)
+                if not result.cached:
+                    solved.add(i)
 
         evaluate_wave([0, n - 1])
         while intervals:

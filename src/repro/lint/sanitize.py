@@ -8,7 +8,7 @@ L2 (each departure must be a fixpoint of the max constraints, not merely
 above one).  The sanitizer re-derives all of that from scratch: it
 evaluates the full constraint system at the solution point with
 per-constraint slacks and re-applies the max-plus update map once, so a
-regression anywhere in the warm-start, kernel or slide machinery shows up
+regression anywhere in the solver, kernel or slide machinery shows up
 as a named violated row instead of a silently wrong schedule downstream.
 """
 

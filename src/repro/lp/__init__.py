@@ -12,9 +12,8 @@ such programs:
   standard simplex algorithm" of the paper's initial implementation;
 * :mod:`repro.lp.standard_form` -- the shared ``min c'x, Ax = b, x >= 0``
   canonicalization both simplex backends solve;
-* :mod:`repro.lp.revised_simplex` -- a revised simplex with explicit
-  :mod:`basis <repro.lp.basis>` objects and warm-start support, the fast
-  path for repeated solves (sweeps, batches);
+* :mod:`repro.lp.revised_simplex` -- a revised simplex that keeps only
+  the basis inverse, the reference the cycle engine falls back to;
 * :mod:`repro.lp.sparse` / :mod:`repro.lp.sparse_lu` /
   :mod:`repro.lp.sparse_simplex` -- CSR/CSC constraint storage, sparse
   LU + eta-file basis factorization, and the sparse revised simplex
@@ -31,9 +30,7 @@ from repro.lp.backends import (
     available_backends,
     canonical_backend,
     solve,
-    supports_warm_start,
 )
-from repro.lp.basis import Basis
 from repro.lp.expr import LinExpr, var
 from repro.lp.model import Constraint, LinearProgram, LPCSRArrays, Sense
 from repro.lp.result import LPResult, LPStatus
@@ -45,7 +42,6 @@ from repro.lp.sparse_simplex import SparseSimplexOptions, solve_sparse_simplex
 from repro.lp.standard_form import StandardForm
 
 __all__ = [
-    "Basis",
     "LinExpr",
     "var",
     "Constraint",
@@ -65,7 +61,6 @@ __all__ = [
     "solve_sparse_simplex",
     "available_backends",
     "canonical_backend",
-    "supports_warm_start",
     "solve",
     "SensitivityReport",
     "sensitivity",

@@ -5,14 +5,11 @@ they differ in speed and capabilities:
 
 * ``"simplex"`` -- the from-scratch dense tableau solver (the paper's own
   choice);
-* ``"revised"`` -- the revised simplex with explicit basis objects; it
-  accepts a **warm start**, which repeated-solve paths (sweeps, batches)
-  use to skip phase 1 between structurally identical programs;
+* ``"revised"`` -- the revised simplex with an explicit basis inverse;
 * ``"sparse"``  -- the sparse revised simplex (:mod:`repro.lp.sparse_simplex`):
   pivot-for-pivot the revised solver, but with CSC constraint storage and
   an LU + eta-file basis factorization -- O(nnz) memory instead of O(m^2),
-  the backend that scales to 10k+ latches.  Emits and accepts the same
-  :class:`~repro.lp.basis.Basis` objects as ``"revised"``;
+  the backend that scales to 10k+ latches;
 * ``"scipy"``   -- :func:`scipy.optimize.linprog` (HiGHS), registered when
   scipy is importable;
 * ``"cycle"``   -- the graph-native parametric critical-cycle solver of
@@ -22,9 +19,9 @@ they differ in speed and capabilities:
 * ``"cycle+check"`` -- ``"cycle"`` plus an unconditional revised-simplex
   cross-check asserting agreement to 1e-9 (the CI trust anchor).
 
-``solve(program, backend=..., warm_start=..., context=...)`` is the
-single entry point.  A warm start or context is silently dropped for
-backends that cannot use it, so callers can thread both unconditionally.
+``solve(program, backend=..., context=...)`` is the single entry point.
+A context is silently dropped for backends that cannot use it, so callers
+can thread it unconditionally.
 
 When the caller names no backend, one routing rule applies: a program
 that comes with a ``context`` (the
@@ -42,7 +39,6 @@ import time
 from typing import Callable
 
 from repro.errors import SolverError
-from repro.lp.basis import Basis
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult
 from repro.lp.revised_simplex import solve_revised_simplex
@@ -63,47 +59,33 @@ DEFAULT_BACKEND = "simplex"
 AUTO_SPARSE_ROWS = 2000
 
 
-def _solve_revised(program: LinearProgram, warm_start: Basis | None = None) -> LPResult:
-    return solve_revised_simplex(program, warm_start=warm_start)
-
-
-def _solve_sparse(program: LinearProgram, warm_start: Basis | None = None) -> LPResult:
-    return solve_sparse_simplex(program, warm_start=warm_start)
-
-
 def _solve_cycle(
-    program: LinearProgram,
-    warm_start: Basis | None = None,
-    context: object | None = None,
+    program: LinearProgram, context: object | None = None
 ) -> LPResult:
     # Imported lazily: repro.cycle itself falls back through this module.
     from repro.cycle.solver import solve_cycle
 
-    return solve_cycle(program, warm_start=warm_start, context=context)
+    return solve_cycle(program, context=context)
 
 
 def _solve_cycle_check(
-    program: LinearProgram,
-    warm_start: Basis | None = None,
-    context: object | None = None,
+    program: LinearProgram, context: object | None = None
 ) -> LPResult:
     from repro.cycle.solver import solve_cycle
 
-    return solve_cycle(
-        program, warm_start=warm_start, context=context, check=True
-    )
+    return solve_cycle(program, context=context, check=True)
 
 
-#: name -> (solver, accepts_warm_start, accepts_context)
-_BACKENDS: dict[str, tuple[Callable[..., LPResult], bool, bool]] = {
-    "simplex": (solve_simplex, False, False),
-    "revised": (_solve_revised, True, False),
-    "sparse": (_solve_sparse, True, False),
-    "cycle": (_solve_cycle, True, True),
-    "cycle+check": (_solve_cycle_check, True, True),
+#: name -> (solver, accepts_context)
+_BACKENDS: dict[str, tuple[Callable[..., LPResult], bool]] = {
+    "simplex": (solve_simplex, False),
+    "revised": (solve_revised_simplex, False),
+    "sparse": (solve_sparse_simplex, False),
+    "cycle": (_solve_cycle, True),
+    "cycle+check": (_solve_cycle_check, True),
 }
 if HAVE_SCIPY:
-    _BACKENDS["scipy"] = (solve_scipy, False, False)
+    _BACKENDS["scipy"] = (solve_scipy, False)
 
 
 def available_backends() -> list[str]:
@@ -111,21 +93,10 @@ def available_backends() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def supports_warm_start(name: str | None = None) -> bool:
-    """True when the named backend (default: the default one) takes a basis.
-
-    The cycle backends report True because a supplied basis still warm
-    starts their revised-simplex fallback and cross-check solves; they
-    never *emit* a basis, so chains simply go cold through them.
-    """
-    entry = _BACKENDS.get(name or DEFAULT_BACKEND)
-    return bool(entry and entry[1])
-
-
 def supports_context(name: str | None = None) -> bool:
     """True when the named backend consumes the SMO ``context`` object."""
     entry = _BACKENDS.get(name or DEFAULT_BACKEND)
-    return bool(entry and entry[2])
+    return bool(entry and entry[1])
 
 
 def canonical_backend(name: str | None) -> str:
@@ -146,18 +117,15 @@ def register_backend(
 ) -> None:
     """Register a custom solver callable under ``name``.
 
-    A solver whose signature accepts a ``warm_start`` (resp. ``context``)
-    keyword is handed the caller's basis (resp. SMO program); any other
-    callable is invoked as ``solver(program)``.
+    A solver whose signature accepts a ``context`` keyword is handed the
+    caller's SMO program; any other callable is invoked as
+    ``solver(program)``.
     """
     try:
-        parameters = inspect.signature(solver).parameters
-        accepts_warm = "warm_start" in parameters
-        accepts_context = "context" in parameters
+        accepts_context = "context" in inspect.signature(solver).parameters
     except (TypeError, ValueError):  # pragma: no cover - builtins, C callables
-        accepts_warm = False
         accepts_context = False
-    _BACKENDS[name] = (solver, accepts_warm, accepts_context)
+    _BACKENDS[name] = (solver, accepts_context)
 
 
 def _default_backend(program: LinearProgram, context: object | None) -> str:
@@ -173,19 +141,15 @@ def _default_backend(program: LinearProgram, context: object | None) -> str:
 def solve(
     program: LinearProgram,
     backend: str | None = None,
-    warm_start: Basis | None = None,
     context: object | None = None,
 ) -> LPResult:
     """Solve a program with the named backend (default: see below).
 
-    ``warm_start`` optionally supplies the optimal basis of a structurally
-    identical, previously solved program; it is forwarded to backends that
-    support it (``"revised"``, ``"sparse"`` and, for their LP fallback,
-    the cycle backends) and ignored by the rest.  ``context`` optionally
-    supplies the :class:`~repro.core.constraints.SMOProgram` the program
-    was generated from; the graph-native ``"cycle"``/``"cycle+check"``
-    backends require it to recover event times and fall back to the LP
-    without it.  Neither option ever changes the reported optimum.
+    ``context`` optionally supplies the
+    :class:`~repro.core.constraints.SMOProgram` the program was generated
+    from; the graph-native ``"cycle"``/``"cycle+check"`` backends require
+    it to recover event times and fall back to the LP without it.  It
+    never changes the reported optimum.
 
     When no backend is named, a program with a ``context`` goes to
     ``"cycle"``, which certifies its answer or falls back to a simplex.
@@ -195,27 +159,22 @@ def solve(
     """
     name = backend or _default_backend(program, context)
     try:
-        solver, accepts_warm, accepts_context = _BACKENDS[name]
+        solver, accepts_context = _BACKENDS[name]
     except KeyError:
         raise SolverError(
             f"unknown LP backend {name!r}; available: {available_backends()}"
         ) from None
     with trace.span("lp_solve", backend=name) as span:
         start = time.perf_counter()
-        kwargs: dict[str, object] = {}
-        if accepts_warm:
-            kwargs["warm_start"] = warm_start
         if accepts_context:
-            kwargs["context"] = context
-        result = solver(program, **kwargs)
+            result = solver(program, context=context)
+        else:
+            result = solver(program)
         elapsed = time.perf_counter() - start
         if not result.solve_seconds:
             result.solve_seconds = elapsed
         span.set("status", result.status.name)
         span.set("pivots", result.iterations)
-        outcome = result.extra.get("warm_start")
-        if outcome is not None:
-            span.set("warm_start", outcome)
         cycle_info = result.extra.get("cycle")
         if isinstance(cycle_info, dict):
             span.set("cycle_used", bool(cycle_info.get("used")))

@@ -32,10 +32,7 @@ class LPResult:
     itself does not report it.
 
     ``extra`` carries backend-specific artifacts; the revised simplex puts
-    the optimal :class:`~repro.lp.basis.Basis` under ``extra["basis"]``
-    (reusable as the next solve's warm start), the warm-start outcome under
-    ``extra["warm_start"]`` and its refactorization count under
-    ``extra["refactorizations"]``.
+    its refactorization count under ``extra["refactorizations"]``.
     """
 
     status: LPStatus

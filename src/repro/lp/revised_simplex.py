@@ -1,22 +1,14 @@
-"""A revised primal simplex solver with explicit bases and warm starts.
+"""A revised primal simplex solver with an explicit basis inverse.
 
 Where the dense solver (:mod:`repro.lp.simplex`) carries the whole tableau
 through every pivot, this solver maintains only the basis inverse, updated
-in product form and periodically refactorized for numerical hygiene.  Its
-distinguishing feature is the **warm start**: given the optimal
-:class:`~repro.lp.basis.Basis` of a structurally identical program (for
-example the previous point of a parametric delay sweep), it refactorizes
-that basis against the new coefficients and -- when the basis is still
-primal feasible -- skips phase 1 entirely, typically finishing in a few
-pivots instead of a few hundred.  An infeasible or unusable warm basis
-falls back to the ordinary two-phase cold start, so warm starting can
-change only the *path* to the optimum, never the optimum itself.
+in product form and periodically refactorized for numerical hygiene.
 
 Pivoting uses Dantzig's rule with the same Bland anti-cycling fallback as
 the dense solver, so termination is guaranteed.  The returned
-:class:`~repro.lp.result.LPResult` carries the optimal basis, the warm
-start outcome (``"hit"``, ``"miss"`` or ``"cold"``) and the periodic
-refactorization count in :attr:`~repro.lp.result.LPResult.extra`.
+:class:`~repro.lp.result.LPResult` carries the periodic refactorization
+count and the phase-1 pivot count in
+:attr:`~repro.lp.result.LPResult.extra`.
 """
 
 from __future__ import annotations
@@ -27,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SolverError
-from repro.lp.basis import Basis
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 from repro.lp.standard_form import StandardForm
@@ -148,50 +139,19 @@ def _optimize(
         iterations += 1
 
 
-def _try_warm_start(
-    sf: StandardForm, warm_start: Basis | None, options: RevisedSimplexOptions
-) -> _RevisedState | None:
-    """A ready phase-2 state from a warm basis, or None when unusable.
-
-    The correctness guard: a basis is accepted only if it indexes this
-    standard form's columns (structure match), is nonsingular against the
-    *new* coefficients, and its basic solution is primal feasible.  Every
-    other case returns None and the caller runs an ordinary phase 1.
-    """
-    if warm_start is None or not warm_start.matches(sf):
-        return None
-    columns = np.asarray(warm_start.columns, dtype=int)
-    if len(set(columns.tolist())) != sf.m:
-        return None
-    try:
-        state = _RevisedState(sf.a, sf.b, columns.copy(), options)
-    except SolverError:
-        return None
-    if state.x_b.min() < -1e-7:
-        return None  # basis infeasible for the perturbed program
-    state.x_b = np.maximum(state.x_b, 0.0)
-    return state
-
-
 def solve_revised_simplex(
     program: LinearProgram,
     options: RevisedSimplexOptions | None = None,
-    warm_start: Basis | None = None,
 ) -> LPResult:
     """Solve a :class:`LinearProgram` with the revised simplex method.
 
-    ``warm_start`` optionally supplies the optimal basis of a structurally
-    identical program.  The result's ``extra`` dict carries:
+    The result's ``extra`` dict carries:
 
-    * ``"basis"`` -- the optimal :class:`~repro.lp.basis.Basis` (when every
-      basic column is structural), reusable as the next warm start;
-    * ``"warm_start"`` -- ``"hit"`` (basis accepted, phase 1 skipped),
-      ``"miss"`` (basis supplied but rejected) or ``"cold"``;
     * ``"refactorizations"`` -- periodic basis-inverse rebuilds;
-    * ``"phase1_pivots"`` -- pivots spent in phase 1 (0 on a warm hit).
+    * ``"phase1_pivots"`` -- pivots spent in phase 1.
     """
     start = time.perf_counter()
-    result = _solve_revised(program, options, warm_start)
+    result = _solve_revised(program, options)
     result.solve_seconds = time.perf_counter() - start
     return result
 
@@ -199,14 +159,12 @@ def solve_revised_simplex(
 def _solve_revised(
     program: LinearProgram,
     options: RevisedSimplexOptions | None,
-    warm_start: Basis | None,
 ) -> LPResult:
     options = options or RevisedSimplexOptions()
     sf = StandardForm(program)
     m, n = sf.m, sf.n_struct
     tol = options.tol
     extra: dict[str, object] = {
-        "warm_start": "cold" if warm_start is None else "miss",
         "refactorizations": 0,
         "phase1_pivots": 0,
     }
@@ -227,65 +185,58 @@ def _solve_revised(
         return attach_slacks(result, program)
 
     iterations = 0
-    state = _try_warm_start(sf, warm_start, options)
-    if state is not None:
-        extra["warm_start"] = "hit"
-    if trace.is_enabled():
-        trace.add_event("warm_start", outcome=extra["warm_start"])
-
-    if state is None:
-        # ------------------------------------------------------------------
-        # Phase 1: find a basic feasible solution using artificial variables.
-        # Rows with a +1 slack can use it directly; others get an artificial.
-        # ------------------------------------------------------------------
-        basis = np.full(m, -1, dtype=int)
-        artificial_rows = []
-        for i in range(m):
-            sc = sf.slack_col_of_row[i]
-            if sc >= 0 and sf.a[i, sc] == 1.0:
-                basis[i] = sc
-            else:
-                artificial_rows.append(i)
-        n_art = len(artificial_rows)
-        a_full = sf.a
-        if n_art:
-            a_full = np.hstack([sf.a, np.zeros((m, n_art))])
-            for k, i in enumerate(artificial_rows):
-                a_full[i, n + k] = 1.0
-                basis[i] = n + k
-        state = _RevisedState(a_full, sf.b, basis, options)
-        if n_art:
-            phase1_costs = np.zeros(n + n_art)
-            phase1_costs[n:] = 1.0
-            allowed = np.ones(n + n_art, dtype=bool)
-            status, it1 = _optimize(state, phase1_costs, allowed, options)
-            iterations += it1
-            extra["phase1_pivots"] = it1
-            if trace.is_enabled():
-                trace.add_event("phase1", pivots=it1)
-            if status != "optimal":  # pragma: no cover - phase 1 never unbounded
-                raise SolverError(f"phase 1 ended with status {status}")
-            infeasibility = float(
-                np.maximum(state.x_b, 0.0)[state.basis >= n].sum()
+    # ------------------------------------------------------------------
+    # Phase 1: find a basic feasible solution using artificial variables.
+    # Rows with a +1 slack can use it directly; others get an artificial.
+    # ------------------------------------------------------------------
+    basis = np.full(m, -1, dtype=int)
+    artificial_rows = []
+    for i in range(m):
+        sc = sf.slack_col_of_row[i]
+        if sc >= 0 and sf.a[i, sc] == 1.0:
+            basis[i] = sc
+        else:
+            artificial_rows.append(i)
+    n_art = len(artificial_rows)
+    a_full = sf.a
+    if n_art:
+        a_full = np.hstack([sf.a, np.zeros((m, n_art))])
+        for k, i in enumerate(artificial_rows):
+            a_full[i, n + k] = 1.0
+            basis[i] = n + k
+    state = _RevisedState(a_full, sf.b, basis, options)
+    if n_art:
+        phase1_costs = np.zeros(n + n_art)
+        phase1_costs[n:] = 1.0
+        allowed = np.ones(n + n_art, dtype=bool)
+        status, it1 = _optimize(state, phase1_costs, allowed, options)
+        iterations += it1
+        extra["phase1_pivots"] = it1
+        if trace.is_enabled():
+            trace.add_event("phase1", pivots=it1)
+        if status != "optimal":  # pragma: no cover - phase 1 never unbounded
+            raise SolverError(f"phase 1 ended with status {status}")
+        infeasibility = float(
+            np.maximum(state.x_b, 0.0)[state.basis >= n].sum()
+        )
+        if infeasibility > 1e-7:
+            extra["refactorizations"] = state.refactorizations
+            return LPResult(
+                status=LPStatus.INFEASIBLE,
+                iterations=iterations,
+                backend="revised",
+                extra=extra,
             )
-            if infeasibility > 1e-7:
-                extra["refactorizations"] = state.refactorizations
-                return LPResult(
-                    status=LPStatus.INFEASIBLE,
-                    iterations=iterations,
-                    backend="revised",
-                    extra=extra,
-                )
-            # Drive any remaining zero-level artificials out of the basis.
-            for i in range(m):
-                if state.basis[i] >= n:
-                    row_vec = state.b_inv[i, :] @ state.a[:, :n]
-                    pivotable = np.where(np.abs(row_vec) > tol)[0]
-                    if pivotable.size:
-                        col = int(pivotable[0])
-                        direction = state.b_inv @ state.a[:, col]
-                        state.pivot(i, col, direction)
-                    # else: the row is redundant; the artificial stays basic at 0.
+        # Drive any remaining zero-level artificials out of the basis.
+        for i in range(m):
+            if state.basis[i] >= n:
+                row_vec = state.b_inv[i, :] @ state.a[:, :n]
+                pivotable = np.where(np.abs(row_vec) > tol)[0]
+                if pivotable.size:
+                    col = int(pivotable[0])
+                    direction = state.b_inv @ state.a[:, col]
+                    state.pivot(i, col, direction)
+                # else: the row is redundant; the artificial stays basic at 0.
 
     # ------------------------------------------------------------------
     # Phase 2: optimize the true objective with artificials locked out.
@@ -317,12 +268,6 @@ def _solve_revised(
     duals = {
         name: float(y[i] * sf.row_sign[i]) for i, name in enumerate(sf.row_names)
     }
-
-    if bool(np.all(state.basis < n)):
-        extra["basis"] = Basis(
-            columns=tuple(int(c) for c in state.basis),
-            structure=sf.structure_key,
-        )
 
     result = LPResult(
         status=LPStatus.OPTIMAL,

@@ -1,8 +1,8 @@
 """A sparse revised primal simplex: O(nnz) memory, LU + eta-file basis.
 
 Pivot-for-pivot this is :mod:`repro.lp.revised_simplex` -- same two-phase
-structure, same Dantzig/Bland pricing, same ratio test and tie-breaks,
-same warm-start acceptance guard -- but nothing dense is ever formed:
+structure, same Dantzig/Bland pricing, same ratio test and tie-breaks --
+but nothing dense is ever formed:
 
 * the constraint matrix is read straight from
   :attr:`~repro.lp.standard_form.StandardForm.a_csc` (CSC, O(nnz));
@@ -17,10 +17,7 @@ same warm-start acceptance guard -- but nothing dense is ever formed:
 Peak memory is O(nnz + fill), which for the paper's exclusively
 topological matrices (a few +/-1 entries per row) stays linear in latch
 count; the dense solvers' O(m^2) basis inverse is what capped
-``bench_scaling`` at ~1k latches.  Warm starts accept the same
-:class:`~repro.lp.basis.Basis` objects the dense revised solver emits
-(both index the same :class:`StandardForm` columns), so sweep chaining
-works across backends.
+``bench_scaling`` at ~1k latches.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import SolverError
-from repro.lp.basis import Basis
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus, attach_slacks
 from repro.lp.sparse import CSCMatrix
@@ -202,53 +198,21 @@ def _optimize(
         iterations += 1
 
 
-def _try_warm_start(
-    sf: StandardForm, warm_start: Basis | None, options: SparseSimplexOptions
-) -> _SparseState | None:
-    """A ready phase-2 state from a warm basis, or None when unusable.
-
-    Same acceptance guard as the dense revised solver: structure match,
-    no duplicate columns, nonsingular against the new coefficients, and
-    primal feasible.  Anything else falls back to an ordinary phase 1.
-    """
-    if warm_start is None or not warm_start.matches(sf):
-        return None
-    columns = np.asarray(warm_start.columns, dtype=np.int64)
-    if len(set(columns.tolist())) != sf.m:
-        return None
-    try:
-        state = _SparseState(
-            sf.a_csc,
-            sf.b,
-            columns.copy(),
-            np.zeros(0, dtype=np.int64),
-            options,
-        )
-    except SolverError:
-        return None
-    if state.x_b.min() < -1e-7:
-        return None  # basis infeasible for the perturbed program
-    state.x_b = np.maximum(state.x_b, 0.0)
-    return state
-
-
 def solve_sparse_simplex(
     program: LinearProgram,
     options: SparseSimplexOptions | None = None,
-    warm_start: Basis | None = None,
 ) -> LPResult:
     """Solve a :class:`LinearProgram` with the sparse revised simplex.
 
     Semantically identical to
     :func:`~repro.lp.revised_simplex.solve_revised_simplex` (same pivot
-    rules, warm-start contract and result shape) but with O(nnz) peak
-    memory.  The result's ``extra`` dict carries the same keys
-    (``"basis"``, ``"warm_start"``, ``"refactorizations"``,
+    rules and result shape) but with O(nnz) peak memory.  The result's
+    ``extra`` dict carries the same keys (``"refactorizations"``,
     ``"phase1_pivots"``) plus ``"factorization"`` -- the LU engine used
     (``"scipy"`` or ``"python"``).
     """
     start = time.perf_counter()
-    result = _solve_sparse(program, options, warm_start)
+    result = _solve_sparse(program, options)
     result.solve_seconds = time.perf_counter() - start
     return result
 
@@ -256,14 +220,12 @@ def solve_sparse_simplex(
 def _solve_sparse(
     program: LinearProgram,
     options: SparseSimplexOptions | None,
-    warm_start: Basis | None,
 ) -> LPResult:
     options = options or SparseSimplexOptions()
     sf = StandardForm(program)
     m, n = sf.m, sf.n_struct
     tol = options.tol
     extra: dict[str, object] = {
-        "warm_start": "cold" if warm_start is None else "miss",
         "refactorizations": 0,
         "phase1_pivots": 0,
     }
@@ -284,68 +246,61 @@ def _solve_sparse(
         return attach_slacks(result, program)
 
     iterations = 0
-    state = _try_warm_start(sf, warm_start, options)
-    if state is not None:
-        extra["warm_start"] = "hit"
-    if trace.is_enabled():
-        trace.add_event("warm_start", outcome=extra["warm_start"])
-
-    if state is None:
-        # ------------------------------------------------------------------
-        # Phase 1: find a basic feasible solution using artificial variables.
-        # Rows with a +1 slack can use it directly; others get an implicit
-        # artificial unit column.  The slack coefficient is
-        # sign(sense) * row_sign, so "+1 slack" is a two-flag predicate --
-        # no matrix access needed.
-        # ------------------------------------------------------------------
-        basis = np.full(m, -1, dtype=np.int64)
-        artificial_rows = []
-        for i in range(m):
-            sc = sf.slack_col_of_row[i]
-            if sc >= 0 and (sf.senses[i] == "<=") == (sf.row_sign[i] > 0):
-                basis[i] = sc
-            else:
-                artificial_rows.append(i)
-        n_art = len(artificial_rows)
-        art_row = np.asarray(artificial_rows, dtype=np.int64)
-        for k, i in enumerate(artificial_rows):
-            basis[i] = n + k
-        state = _SparseState(sf.a_csc, sf.b, basis, art_row, options)
-        if n_art:
-            phase1_costs = np.zeros(n + n_art)
-            phase1_costs[n:] = 1.0
-            allowed = np.ones(n + n_art, dtype=bool)
-            status, it1 = _optimize(state, phase1_costs, allowed, options)
-            iterations += it1
-            extra["phase1_pivots"] = it1
-            if trace.is_enabled():
-                trace.add_event("phase1", pivots=it1)
-            if status != "optimal":  # pragma: no cover - never unbounded
-                raise SolverError(f"phase 1 ended with status {status}")
-            infeasibility = float(
-                np.maximum(state.x_b, 0.0)[state.basis >= n].sum()
+    # ------------------------------------------------------------------
+    # Phase 1: find a basic feasible solution using artificial variables.
+    # Rows with a +1 slack can use it directly; others get an implicit
+    # artificial unit column.  The slack coefficient is
+    # sign(sense) * row_sign, so "+1 slack" is a two-flag predicate --
+    # no matrix access needed.
+    # ------------------------------------------------------------------
+    basis = np.full(m, -1, dtype=np.int64)
+    artificial_rows = []
+    for i in range(m):
+        sc = sf.slack_col_of_row[i]
+        if sc >= 0 and (sf.senses[i] == "<=") == (sf.row_sign[i] > 0):
+            basis[i] = sc
+        else:
+            artificial_rows.append(i)
+    n_art = len(artificial_rows)
+    art_row = np.asarray(artificial_rows, dtype=np.int64)
+    for k, i in enumerate(artificial_rows):
+        basis[i] = n + k
+    state = _SparseState(sf.a_csc, sf.b, basis, art_row, options)
+    if n_art:
+        phase1_costs = np.zeros(n + n_art)
+        phase1_costs[n:] = 1.0
+        allowed = np.ones(n + n_art, dtype=bool)
+        status, it1 = _optimize(state, phase1_costs, allowed, options)
+        iterations += it1
+        extra["phase1_pivots"] = it1
+        if trace.is_enabled():
+            trace.add_event("phase1", pivots=it1)
+        if status != "optimal":  # pragma: no cover - never unbounded
+            raise SolverError(f"phase 1 ended with status {status}")
+        infeasibility = float(
+            np.maximum(state.x_b, 0.0)[state.basis >= n].sum()
+        )
+        if infeasibility > 1e-7:
+            extra["refactorizations"] = state.refactorizations
+            extra["factorization"] = state.factors.engine_name
+            return LPResult(
+                status=LPStatus.INFEASIBLE,
+                iterations=iterations,
+                backend="sparse",
+                extra=extra,
             )
-            if infeasibility > 1e-7:
-                extra["refactorizations"] = state.refactorizations
-                extra["factorization"] = state.factors.engine_name
-                return LPResult(
-                    status=LPStatus.INFEASIBLE,
-                    iterations=iterations,
-                    backend="sparse",
-                    extra=extra,
-                )
-            # Drive any remaining zero-level artificials out of the basis.
-            for i in range(m):
-                if state.basis[i] >= n:
-                    # e_i' B^-1 A over structural columns, assembled
-                    # sparsely: (B^-T e_i)' A is one btran + one rmatvec.
-                    row_vec = state.a.rmatvec(state.btran_unit(i))
-                    pivotable = np.where(np.abs(row_vec) > tol)[0]
-                    if pivotable.size:
-                        col = int(pivotable[0])
-                        direction = state.factors.ftran(state.column(col))
-                        state.pivot(i, col, direction)
-                    # else: redundant row; the artificial stays basic at 0.
+        # Drive any remaining zero-level artificials out of the basis.
+        for i in range(m):
+            if state.basis[i] >= n:
+                # e_i' B^-1 A over structural columns, assembled
+                # sparsely: (B^-T e_i)' A is one btran + one rmatvec.
+                row_vec = state.a.rmatvec(state.btran_unit(i))
+                pivotable = np.where(np.abs(row_vec) > tol)[0]
+                if pivotable.size:
+                    col = int(pivotable[0])
+                    direction = state.factors.ftran(state.column(col))
+                    state.pivot(i, col, direction)
+                # else: redundant row; the artificial stays basic at 0.
 
     # ------------------------------------------------------------------
     # Phase 2: optimize the true objective with artificials locked out.
@@ -385,12 +340,6 @@ def _solve_sparse(
         name: float(y[i] * sf.row_sign[i])
         for i, name in enumerate(sf.row_names)
     }
-
-    if bool(np.all(state.basis < n)):
-        extra["basis"] = Basis(
-            columns=tuple(int(c) for c in state.basis),
-            structure=sf.structure_key,
-        )
 
     result = LPResult(
         status=LPStatus.OPTIMAL,

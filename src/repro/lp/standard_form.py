@@ -18,18 +18,9 @@ memory.  The dense ``(m, n_struct)`` array the legacy solvers index is a
 lazy cached property (:attr:`StandardForm.a`); materializing it above
 2000 rows is counted and reported by :mod:`repro.lp.sparse` so accidental
 densification of a large program is visible.
-
-Two programs with the same variables, constraint names and senses -- for
-example successive points of a parametric delay sweep, which differ only
-in constraint constants -- produce standard forms with identical *column
-structure*.  :attr:`StandardForm.structure_key` fingerprints that
-structure, which is what lets an optimal basis from one solve be offered
-as a warm start for the next (see :mod:`repro.lp.basis`).
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -56,8 +47,7 @@ class StandardForm:
                 extra_cols.append(idx)
 
         # Standard-form row order groups by sense (<=, then >=, then ==),
-        # insertion order within each group -- the historical layout every
-        # cached Basis was built against.
+        # insertion order within each group.
         m = csr.n_constraints
         perm = np.array(
             [i for i, s in enumerate(csr.senses) if s is Sense.LE]
@@ -155,31 +145,6 @@ class StandardForm:
         if self._a_dense is None:
             self._a_dense = self.a_csc.to_dense(site="standard_form.a")
         return self._a_dense
-
-    @property
-    def structure_key(self) -> str:
-        """Fingerprint of the column/row *structure* (not the numbers).
-
-        Two standard forms share a key exactly when they have the same
-        variables (in order), the same constraint names and senses (in
-        order) and the same free-variable split -- i.e. when a basis of
-        one indexes meaningful columns of the other.
-        """
-        blob = "\x1f".join(
-            [
-                "v1",
-                str(self.m),
-                str(self.n_struct),
-                "\x1e".join(self.var_names),
-                "\x1e".join(self.row_names),
-                "".join(
-                    "E" if s == "==" else ("L" if s == "<=" else "G")
-                    for s in self.senses
-                ),
-                ",".join(str(c) for c in self.neg_col if c >= 0),
-            ]
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def recover_values(self, x: np.ndarray) -> dict[str, float]:
         values: dict[str, float] = {}

@@ -28,8 +28,7 @@ Three kernels mirror the three iteration methods:
   values agree with the dict worklist to within the update tolerance;
   ``iterations`` still counts individual node updates.
 
-The lowered structure is cached per :attr:`MaxPlusSystem.structure_key`
-(mirroring ``StandardForm.structure_key`` on the LP side): successive
+The lowered structure is cached per :attr:`MaxPlusSystem.structure_key`: successive
 points of a delay sweep share every index array and re-cost only the
 weight vector.  :func:`repro.core.constraints.build_maxplus_system`
 pre-computes that weight vector with numpy and primes the cache, so a

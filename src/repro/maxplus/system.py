@@ -66,8 +66,7 @@ class MaxPlusSystem:
 
         Arc weights and floors are deliberately excluded: two systems from
         successive points of a delay sweep share a key, so the compiled
-        index arrays can be reused and only the weight vector re-costed
-        (mirroring ``StandardForm.structure_key`` on the LP side).
+        index arrays can be reused and only the weight vector re-costed.
         """
         key = self.__dict__.get("_structure_key")
         if key is None:

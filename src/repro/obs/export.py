@@ -264,7 +264,7 @@ def summarize(spans: list[dict], run_id: str | None = None) -> str:
     _breakdown_lines(spans, total, 0, lines)
 
     # Convergence table: one row per LP solve and per slide.
-    lp_rows: list[tuple[str, str, str, str, str]] = []
+    lp_rows: list[tuple[str, str, str, str]] = []
     slide_rows: list[tuple[str, str, str, str]] = []
     for span, ancestors in walk_with_ancestors(spans):
         attrs = span.get("attrs") or {}
@@ -278,7 +278,6 @@ def summarize(spans: list[dict], run_id: str | None = None) -> str:
                     label,
                     str(attrs.get("backend", "")),
                     str(pivots),
-                    str(attrs.get("warm_start", "")),
                     f"{1000.0 * float(span.get('dur', 0.0)):.2f}",
                 )
             )
@@ -293,9 +292,7 @@ def summarize(spans: list[dict], run_id: str | None = None) -> str:
             )
     if lp_rows:
         lines += ["", "lp solves:"]
-        lines += _table(
-            ["label", "backend", "pivots", "warm", "ms"], lp_rows
-        )
+        lines += _table(["label", "backend", "pivots", "ms"], lp_rows)
     if slide_rows:
         lines += ["", "slide convergence:"]
         lines += _table(["label", "method", "sweeps", "residual"], slide_rows)

@@ -9,7 +9,7 @@ Five cooperating modules (see ``docs/SERVE.md`` for the tour):
   jobs out, with strict unknown-key rejection;
 * :mod:`repro.serve.service`  -- the asyncio service core: request
   coalescing, two-level result cache, lint admission control,
-  cross-request warm-start basis chains, graceful drain;
+  graceful drain;
 * :mod:`repro.serve.http`     -- the stdlib HTTP/1.1 front end
   (``repro serve``), including server-sent progress events;
 * :mod:`repro.serve.loadgen`  -- the deterministic weighted-mix load

@@ -88,7 +88,6 @@ _MLP_KEYS = (
     "verify",
     "compact",
     "tol",
-    "warm_start",
     "kernel",
     "sanitize",
 )

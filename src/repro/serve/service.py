@@ -14,12 +14,6 @@ tests drive it directly.  One service instance owns:
   :func:`~repro.engine.execute.execute_job` (sweeps run a private
   serial engine whose cache is layered over the shared store, so grid
   points persist too);
-* **shared warm-start state**: optimal bases are kept per circuit family
-  (the job key with the arc override stripped) in
-  :class:`~repro.core.parametric.BasisChain` instances, so repeated
-  requests against the same circuit warm-start across requests exactly
-  like grid points warm-start within one sweep -- and the PR 4 structure
-  caches are process-global, so they are shared for free;
 * a **lint admission gate**: structurally broken circuits are rejected
   before they reach the executor (provably infeasible pinned-clock jobs
   are additionally short-circuited inside the executor, as in batch).
@@ -36,18 +30,14 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import AsyncIterator, Callable, SupportsFloat, TypeVar, cast
 
-from repro.core.parametric import BasisChain
 from repro.engine.cache import ResultCache
 from repro.engine.execute import execute_job
-from repro.engine.jobspec import Job, JobResult, MinimizeJob, SweepJob, job_key
+from repro.engine.jobspec import Job, JobResult, SweepJob, job_key
 from repro.engine.runner import Engine
 from repro.errors import ReproError
 from repro.lint import diagnose, run_rules
-from repro.lp.backends import supports_warm_start
-from repro.lp.basis import Basis
 from repro.obs import prometheus_text
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -284,7 +274,6 @@ class AnalysisService:
         )
         self._inflight: dict[str, asyncio.Future] = {}
         self._records: OrderedDict[str, JobRecord] = OrderedDict()
-        self._chains: dict[str, BasisChain] = {}
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -479,7 +468,6 @@ class AnalysisService:
             raise
         finally:
             del self._inflight[key]
-        self._absorb_basis(job, result)
         self._memory.put(key, result)
         record.extend_events(result_events(result, spans))
         # Release coalesced followers before persisting: the store write
@@ -524,47 +512,9 @@ class AnalysisService:
         result.metrics.setdefault("stages", dict(report.stage_seconds))
         return result
 
-    # -- cross-request warm-start sharing --------------------------------
-    def _family_key(self, job: MinimizeJob) -> str:
-        """The circuit-family key: the job key with the override stripped."""
-        if job.arc_override is None:
-            return job_key(job)
-        return job_key(replace(job, arc_override=None))
-
-    def _chain_for(self, job: Job) -> tuple[BasisChain, float] | None:
-        if not isinstance(job, MinimizeJob):
-            return None
-        mlp = job.mlp
-        warm = mlp.warm_start if mlp is not None else True
-        backend = mlp.backend if mlp is not None else None
-        if not warm or not supports_warm_start(backend):
-            return None
-        x = job.arc_override[2] if job.arc_override is not None else 0.0
-        chain = self._chains.setdefault(self._family_key(job), BasisChain())
-        return chain, float(x)
-
     def _with_warm_start(self, job: Job) -> Job:
-        found = self._chain_for(job)
-        if found is None:
-            return job
-        chain, x = found
-        basis = chain.get(x)
-        if basis is None and not chain.cold_hint:
-            return job
-        return replace(
-            job, warm_start=basis, cold_pivots_hint=chain.cold_hint
-        )
-
-    def _absorb_basis(self, job: Job, result: JobResult) -> None:
-        found = self._chain_for(job)
-        if found is None or not result.ok:
-            return
-        chain, x = found
-        raw = result.payload.get("basis")
-        if raw:
-            chain.put(x, Basis.from_dict(raw))
-        if not chain.cold_hint:
-            chain.cold_hint = int(result.metrics.get("lp_iterations", 0))
+        # Identity hand-off kept as perfbench/traced.py's queue-entry hook.
+        return job
 
     # ------------------------------------------------------------------
     # Introspection / shutdown

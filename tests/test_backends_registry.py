@@ -6,8 +6,10 @@ from repro.errors import SolverError
 from repro.lp.backends import (
     DEFAULT_BACKEND,
     available_backends,
+    canonical_backend,
     register_backend,
     solve,
+    supports_context,
 )
 from repro.lp.expr import var
 from repro.lp.model import LinearProgram
@@ -30,6 +32,15 @@ class TestRegistry:
         r = solve(tiny_lp())
         assert r.objective == pytest.approx(3.0)
         assert r.backend == "simplex"
+
+    @pytest.mark.parametrize("name", ["revised", "sparse"])
+    def test_revised_simplex_backends_registered(self, name):
+        assert name in available_backends()
+        assert canonical_backend(name) == name
+        assert not supports_context(name)
+        r = solve(tiny_lp(), backend=name)
+        assert r.backend == name
+        assert r.objective == pytest.approx(3.0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SolverError, match="unknown LP backend"):

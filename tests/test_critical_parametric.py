@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.critical import critical_segments
 from repro.core.mlp import minimize_cycle_time
-from repro.core.parametric import refine_breakpoint, sweep, sweep_delay
+from repro.core.parametric import exact_sweep, sweep, sweep_delay
 from repro.designs import example1
 from repro.errors import LPError, ReproError
 from repro.lp.result import LPResult, LPStatus
@@ -82,8 +82,11 @@ class TestSweepMachinery:
             sweep(lambda x: x, grid=[0.0, 2.0, 1.0])
 
     def test_refine_breakpoint(self):
-        kink = refine_breakpoint(lambda x: max(4.0, x), 0.0, 10.0, tol=1e-5)
-        assert kink == pytest.approx(4.0, abs=1e-3)
+        # The exact sweep places the kink of max(4, x) where its lines meet.
+        result = exact_sweep(
+            lambda x: (max(4.0, x), 0.0 if x < 4.0 else 1.0), 0.0, 10.0
+        )
+        assert result.breakpoints == [4.0]
 
 
 class TestDualsPredictSweepSlopes:

@@ -42,7 +42,6 @@ from repro.lp.backends import (
     available_backends,
     solve,
     supports_context,
-    supports_warm_start,
 )
 from repro.serve.protocol import RequestError, mlp_from_request
 
@@ -200,8 +199,6 @@ class TestPlumbing:
         assert supports_context("cycle")
         assert supports_context("cycle+check")
         assert not supports_context("revised")
-        # A supplied basis warm-starts the cycle backends' LP fallback.
-        assert supports_warm_start("cycle")
 
     def test_jobspec_normalizes_check_variant(self):
         plain = mlp_signature(MLPOptions(backend="cycle"))

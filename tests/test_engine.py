@@ -9,7 +9,7 @@ import pytest
 from repro.circuit.builder import CircuitBuilder
 from repro.cli import main
 from repro.core.mlp import MLPOptions, minimize_cycle_time
-from repro.core.parametric import exact_sweep_delay, sweep_delay
+from repro.core.parametric import sweep_delay
 from repro.designs import example1, gaas_datapath
 from repro.engine import (
     AnalyzeJob,
@@ -210,25 +210,6 @@ class TestAdaptiveSweep:
         assert len(result.payload["segments"]) == 3
         assert engine.run_jobs([job])[0].cached
 
-    def test_exact_sweep_through_engine(self, ex1):
-        engine = Engine(jobs=1)
-        result = exact_sweep_delay(ex1, "L4", "L1", 0.0, 140.0, engine=engine)
-        assert result.breakpoints == pytest.approx([20.0, 100.0], abs=1e-4)
-        assert len(engine.cache) > 0  # evaluations landed in the cache
-
-    def test_refine_breakpoint_never_resolves_twice(self, ex1):
-        from repro.core.parametric import delay_evaluator, refine_breakpoint
-
-        engine = Engine(jobs=1)
-        evaluate = delay_evaluator(ex1, "L4", "L1", engine=engine)
-        kink = refine_breakpoint(evaluate, 50.0, 140.0, tol=1e-3)
-        assert kink == pytest.approx(100.0, abs=1e-2)
-        stats = engine.cache.stats
-        # The chord test re-evaluates interval quarter points as they
-        # become midpoints of the next iteration.
-        assert stats.hits > 0
-        assert engine.report.lp_solves == stats.misses
-
     def test_rejects_bad_grid(self, ex1):
         with pytest.raises(ReproError):
             sweep_delay(ex1, "L4", "L1", [10.0, 10.0])
@@ -371,43 +352,51 @@ class TestBatchCLI:
         empty.write_text("# nothing\n")
         assert main(["batch", str(empty)]) == 2
 
-class TestWarmStartEngine:
-    def test_hints_do_not_affect_cache_key(self, ex1):
-        from repro.lp.basis import Basis
+class TestCacheKeyStability:
+    """Keys without ``mlp`` match the ones earlier releases wrote to disk."""
 
+    def test_keys_without_mlp_are_unchanged(self):
+        from repro.clocking.library import two_phase_clock
+        from repro.core.constraints import ConstraintOptions
+
+        g = example1()
+        keys = {
+            "minimize": MinimizeJob(graph=g),
+            "minimize+options": MinimizeJob(
+                graph=g,
+                options=ConstraintOptions(min_width=5.0),
+                arc_override=("L4", "L1", 30.0),
+            ),
+            "sweep": SweepJob(graph=g, src="L4", dst="L1", grid=(0.0, 70.0, 140.0)),
+            "analyze": AnalyzeJob(graph=g, schedule=two_phase_clock(120.0)),
+        }
+        assert {name: job_key(job) for name, job in keys.items()} == {
+            "minimize": "73342f5b871304b9d8d9a10cf205af1e"
+            "55fb8fe89c191ad01694704b0e461887",
+            "minimize+options": "963c0f0d00097bebe79fd07f36915925"
+            "98160af1dcc369401c844de19751d317",
+            "sweep": "2c9efd20537f9e902646868a3ee3e11a"
+            "7318c4eb9f39efce31a0518ecb26a704",
+            "analyze": "9e26649b18a492ae9b64283961e9fcc5"
+            "9a6977b47e9d7caf7d1516d4555c6ace",
+        }
+
+    def test_keys_with_mlp_moved_off_the_old_ones(self):
+        # Old mlp signatures all carried a "warm_start" field; this is
+        # the old key of MinimizeJob(graph=example1(), mlp=MLPOptions()).
+        old = "c84bd11c8526dac92fda4ddf0c4d32c75aceee8aa1805ec074f35e3a73fdc443"
+        assert job_key(MinimizeJob(graph=example1(), mlp=MLPOptions())) != old
+
+
+class TestWarmStartEngine:
+    """Engine guarantees that outlived the sweep's basis chains."""
+
+    def test_hints_do_not_affect_cache_key(self, ex1):
         plain = MinimizeJob(graph=ex1, arc_override=("L4", "L1", 30.0))
         hinted = MinimizeJob(
-            graph=ex1,
-            arc_override=("L4", "L1", 30.0),
-            warm_start=Basis(columns=(0, 1), structure="abc"),
-            cold_pivots_hint=42,
+            graph=ex1, arc_override=("L4", "L1", 30.0), kernel="dict"
         )
         assert job_key(plain) == job_key(hinted)
-
-    def test_warm_start_flag_does_affect_cache_key(self, ex1):
-        on = MinimizeJob(graph=ex1, mlp=MLPOptions(warm_start=True))
-        off = MinimizeJob(graph=ex1, mlp=MLPOptions(warm_start=False))
-        assert job_key(on) != job_key(off)
-
-    def test_sweep_warm_vs_cold_identical_fewer_pivots(self, ex1):
-        grid = list(range(0, 145, 10))
-        runs = {}
-        for label, warm in (("cold", False), ("warm", True)):
-            engine = Engine(jobs=1)
-            mlp = MLPOptions(
-                verify=False, compact=False, backend="revised", warm_start=warm
-            )
-            result = sweep_delay(ex1, "L4", "L1", grid, mlp=mlp, engine=engine)
-            runs[label] = (result, engine.report)
-        cold, warm = runs["cold"], runs["warm"]
-        assert [p.period for p in cold[0].points] == pytest.approx(
-            [p.period for p in warm[0].points], abs=1e-9
-        )
-        assert cold[1].lp_iterations > warm[1].lp_iterations
-        assert warm[1].warm_start_hits > 0
-        assert warm[1].pivots_saved > 0
-        assert "warm starts:" in warm[1].format()
-        assert "warm starts:" not in cold[1].format()
 
     def test_parallel_warm_sweep_matches_serial(self, ex1):
         grid = list(range(0, 145, 10))
@@ -418,20 +407,13 @@ class TestWarmStartEngine:
         ]
         assert serial.breakpoints == parallel.breakpoints
 
-    def test_minimize_job_carries_basis_payload(self, ex1):
-        engine = Engine(jobs=1)
-        mlp = MLPOptions(verify=False, compact=False, backend="revised")
-        result = engine.run_jobs([MinimizeJob(graph=ex1, mlp=mlp)])[0]
-        basis = result.payload["basis"]
-        assert basis is not None
-        assert all(isinstance(c, int) for c in basis["columns"])
-        assert isinstance(basis["structure"], str)
-
     def test_simplex_backend_payload_has_no_basis(self, ex1):
         engine = Engine(jobs=1)
-        mlp = MLPOptions(verify=False, compact=False, backend="simplex")
-        result = engine.run_jobs([MinimizeJob(graph=ex1, mlp=mlp)])[0]
-        assert result.payload["basis"] is None
+        for backend in ("simplex", "revised"):
+            mlp = MLPOptions(verify=False, compact=False, backend=backend)
+            result = engine.run_jobs([MinimizeJob(graph=ex1, mlp=mlp)])[0]
+            assert result.ok
+            assert "basis" not in result.payload
 
 
 class TestCLIBackends:
@@ -461,10 +443,12 @@ class TestCLIBackends:
         out = capsys.readouterr().out
         assert "breakpoints: [20.0, 100.0]" in out
 
-    def test_sweep_cold_start_matches(self, ex1_file, capsys):
-        assert main(
-            ["sweep", ex1_file, "L4", "L1", "--lo", "0", "--hi", "140",
-             "--exact", "--cold-start", "--backend", "revised"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "breakpoints: [20.0, 100.0]" in out
+    def test_sweep_named_backends_match(self, ex1_file, capsys):
+        command = ["sweep", ex1_file, "L4", "L1", "--lo", "0", "--hi", "140",
+                   "--exact"]
+        assert main(command) == 0
+        default = capsys.readouterr().out
+        assert "breakpoints: [20.0, 100.0]" in default
+        for backend in ("simplex", "revised", "sparse"):
+            assert main(command + ["--backend", backend]) == 0
+            assert capsys.readouterr().out == default, backend

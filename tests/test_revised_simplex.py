@@ -1,23 +1,16 @@
-"""Tests for the revised simplex backend and its warm-start machinery."""
+"""Tests for the revised simplex backend."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.core.mlp import MLPOptions, minimize_cycle_time
-from repro.core.parametric import exact_sweep_delay
-from repro.designs import example1
-from repro.engine import Engine
-from repro.errors import LPError
-from repro.lp.backends import available_backends, solve, supports_warm_start
-from repro.lp.basis import Basis
+from repro.lp.backends import available_backends, solve
 from repro.lp.expr import var
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPStatus
 from repro.lp.revised_simplex import RevisedSimplexOptions, solve_revised_simplex
 from repro.lp.simplex import solve_simplex
-from repro.lp.standard_form import StandardForm
 
 needs_scipy = pytest.mark.skipif(
     "scipy" not in available_backends(), reason="scipy backend unavailable"
@@ -36,7 +29,6 @@ class TestBasics:
         assert r.status is LPStatus.OPTIMAL
         assert r.objective == pytest.approx(-6.0)
         assert r.values == pytest.approx({"x": 2.0, "y": 2.0})
-        assert r.extra["warm_start"] == "cold"
 
     def test_infeasible(self):
         lp = LinearProgram()
@@ -141,125 +133,3 @@ class TestBackendAgreement:
             dense = solve_simplex(lp)
             revised = solve_revised_simplex(lp)
             assert revised.objective == pytest.approx(dense.objective, abs=1e-7)
-
-
-class TestWarmStart:
-    def _lp(self, cap: float = 4.0) -> LinearProgram:
-        lp = LinearProgram()
-        x, y = var("x"), var("y")
-        lp.minimize(-x - 2 * y)
-        lp.add_le(x + y, cap, name="sum")
-        lp.add_le(x, 3, name="bx")
-        lp.add_le(y, 2, name="by")
-        return lp
-
-    def test_restart_from_own_basis_is_free(self):
-        lp = self._lp()
-        first = solve_revised_simplex(lp)
-        basis = first.extra["basis"]
-        again = solve_revised_simplex(lp, warm_start=basis)
-        assert again.extra["warm_start"] == "hit"
-        assert again.iterations == 0
-        assert again.objective == pytest.approx(first.objective)
-
-    def test_warm_start_after_rhs_change(self):
-        first = solve_revised_simplex(self._lp(4.0))
-        warm = solve_revised_simplex(
-            self._lp(4.5), warm_start=first.extra["basis"]
-        )
-        cold = solve_revised_simplex(self._lp(4.5))
-        assert warm.extra["warm_start"] == "hit"
-        assert warm.objective == pytest.approx(cold.objective)
-        assert warm.iterations <= cold.iterations
-
-    def test_structure_mismatch_is_a_miss(self):
-        first = solve_revised_simplex(self._lp())
-        other = LinearProgram()
-        other.minimize(var("a"))
-        other.add_ge(var("a"), 1, name="lo")
-        r = solve_revised_simplex(other, warm_start=first.extra["basis"])
-        assert r.extra["warm_start"] == "miss"
-        assert r.objective == pytest.approx(1.0)
-
-    def test_infeasible_basis_falls_back(self):
-        # Shrink the cap so the warm basis becomes primal infeasible: the
-        # guard must reject it and re-solve cold with the same optimum.
-        first = solve_revised_simplex(self._lp(40.0))
-        shrunk = self._lp(1.0)
-        warm = solve_revised_simplex(shrunk, warm_start=first.extra["basis"])
-        cold = solve_revised_simplex(shrunk)
-        assert warm.objective == pytest.approx(cold.objective)
-
-    def test_basis_round_trip(self):
-        first = solve_revised_simplex(self._lp())
-        basis = first.extra["basis"]
-        clone = Basis.from_dict(basis.to_dict())
-        assert clone == basis
-        assert clone.matches(StandardForm(self._lp()))
-
-    def test_basis_rejects_negative_columns(self):
-        with pytest.raises(LPError):
-            Basis(columns=(0, -1), structure="abc")
-
-    def test_backend_capability_flags(self):
-        assert supports_warm_start("revised")
-        assert not supports_warm_start("simplex")
-
-    def test_solve_dispatch_forwards_warm_start(self):
-        lp = self._lp()
-        first = solve(lp, backend="revised")
-        warm = solve(lp, backend="revised", warm_start=first.extra["basis"])
-        assert warm.extra["warm_start"] == "hit"
-        # Backends without warm-start support silently ignore the basis.
-        dense = solve(lp, backend="simplex", warm_start=first.extra["basis"])
-        assert dense.objective == pytest.approx(first.objective)
-
-
-class TestSweepWarmStart:
-    def test_fig7_sweep_warm_vs_cold(self):
-        # Acceptance bar: the warm-started exact Fig. 7 sweep spends at
-        # least 2x fewer pivots than a cold run, with identical curves.
-        graph = example1()
-        reports = {}
-        curves = {}
-        for label, warm in (("cold", False), ("warm", True)):
-            engine = Engine(jobs=1)
-            mlp = MLPOptions(
-                verify=False, compact=False, backend="revised", warm_start=warm
-            )
-            result = exact_sweep_delay(
-                graph, "L4", "L1", 0.0, 140.0, mlp=mlp, engine=engine
-            )
-            reports[label] = engine.report
-            curves[label] = result
-        cold, warm = curves["cold"], curves["warm"]
-        assert len(cold.segments) == len(warm.segments) == 3
-        for a, b in zip(cold.segments, warm.segments):
-            assert abs(a.slope - b.slope) <= 1e-9
-            assert abs(a.start - b.start) <= 1e-9
-            assert abs(a.intercept - b.intercept) <= 1e-9
-        assert reports["cold"].lp_iterations >= 2 * reports["warm"].lp_iterations
-        assert reports["warm"].warm_start_hits > 0
-        assert reports["warm"].pivots_saved > 0
-
-    def test_warm_start_does_not_change_minimize(self):
-        graph = example1()
-        base = minimize_cycle_time(graph, mlp=MLPOptions(backend="revised"))
-        basis = base.extra.get("basis")
-        assert basis is not None
-        again = minimize_cycle_time(
-            graph, mlp=MLPOptions(backend="revised"), warm_start=basis
-        )
-        assert again.period == pytest.approx(base.period, abs=1e-12)
-        assert again.extra["warm_start"] == "hit"
-
-    def test_warm_start_flag_off_ignores_basis(self):
-        graph = example1()
-        base = minimize_cycle_time(graph, mlp=MLPOptions(backend="revised"))
-        off = minimize_cycle_time(
-            graph,
-            mlp=MLPOptions(backend="revised", warm_start=False),
-            warm_start=base.extra.get("basis"),
-        )
-        assert off.extra["warm_start"] in (None, "cold")
-        assert off.period == pytest.approx(base.period)

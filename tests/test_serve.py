@@ -321,6 +321,12 @@ class TestHttpServer:
         status, _ = _request(server, "DELETE", "/v1/jobs")
         assert status == 405
 
+    def test_removed_mlp_key_gets_400(self, server):
+        request = dict(MIN_EX1, mlp={"warm_start": True})
+        status, body = _request(server, "POST", "/v1/jobs?wait=1", request)
+        assert status == 400
+        assert "'warm_start'" in body["error"]
+
     def test_sse_stream_replays_events(self, server):
         _, posted = _request(server, "POST", "/v1/jobs?wait=1", MIN_EX1)
         conn = http.client.HTTPConnection(

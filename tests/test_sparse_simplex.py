@@ -24,12 +24,6 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit.generate import random_multiloop_circuit
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.designs.generators import banked_array, pipeline
-from repro.lp.backends import (
-    available_backends,
-    canonical_backend,
-    solve,
-    supports_warm_start,
-)
 from repro.lp.expr import var
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPStatus
@@ -164,7 +158,6 @@ class TestSparseSolverBasics:
         assert r.status is LPStatus.OPTIMAL
         assert r.objective == pytest.approx(-6.0)
         assert r.values == pytest.approx({"x": 2.0, "y": 2.0})
-        assert r.extra["warm_start"] == "cold"
         assert "factorization" in r.extra
 
     def test_infeasible(self):
@@ -272,54 +265,6 @@ class TestAgainstRevised:
             assert sparse.objective == pytest.approx(revised.objective), seed
             for name, value in revised.duals.items():
                 assert sparse.duals[name] == pytest.approx(value, abs=1e-8), seed
-
-
-class TestSparseWarmStart:
-    def _lp(self, cap: float = 4.0) -> LinearProgram:
-        lp = LinearProgram()
-        x, y = var("x"), var("y")
-        lp.minimize(-x - 2 * y)
-        lp.add_le(x + y, cap, name="sum")
-        lp.add_le(x, 3, name="cx")
-        lp.add_le(y, 2, name="cy")
-        return lp
-
-    def test_restart_from_own_basis_is_free(self):
-        cold = solve_sparse_simplex(self._lp())
-        warm = solve_sparse_simplex(self._lp(), warm_start=cold.extra["basis"])
-        assert warm.extra["warm_start"] == "hit"
-        assert warm.iterations == 0
-        assert warm.objective == pytest.approx(cold.objective)
-
-    def test_warm_start_after_rhs_change(self):
-        cold = solve_sparse_simplex(self._lp(cap=4.0))
-        warm = solve_sparse_simplex(
-            self._lp(cap=4.5), warm_start=cold.extra["basis"]
-        )
-        fresh = solve_sparse_simplex(self._lp(cap=4.5))
-        assert warm.extra["warm_start"] == "hit"
-        assert warm.objective == pytest.approx(fresh.objective)
-        assert warm.iterations <= fresh.iterations
-
-    def test_structure_mismatch_is_a_miss(self):
-        cold = solve_sparse_simplex(self._lp())
-        other = self._lp()
-        other.add_le(var("x") - var("y"), 10, name="extra")
-        warm = solve_sparse_simplex(other, warm_start=cold.extra["basis"])
-        assert warm.extra["warm_start"] == "miss"
-        assert warm.status is LPStatus.OPTIMAL
-
-    def test_backend_capability_flags(self):
-        assert "sparse" in available_backends()
-        assert supports_warm_start("sparse")
-        assert canonical_backend("sparse") == "sparse"
-
-    def test_solve_dispatch_forwards_warm_start(self):
-        cold = solve(self._lp(), backend="sparse")
-        warm = solve(
-            self._lp(), backend="sparse", warm_start=cold.extra["basis"]
-        )
-        assert warm.extra["warm_start"] == "hit"
 
 
 def _schedule_tuple(result):
