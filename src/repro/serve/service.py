@@ -37,9 +37,10 @@ from repro.engine.execute import execute_job
 from repro.engine.jobspec import Job, JobResult, SweepJob, job_key
 from repro.engine.runner import Engine
 from repro.errors import ReproError
-from repro.lint import diagnose, run_rules
-from repro.obs import prometheus_text
+from repro.lint.graphdiag import diagnose
+from repro.lint.rules import run_rules
 from repro.obs import metrics as obs_metrics
+from repro.obs.export import prometheus_text
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Tracer, use_tracer
 from repro.serve.events import result_events
