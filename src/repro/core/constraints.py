@@ -27,7 +27,7 @@ property the paper highlights in Section VI -- which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -160,6 +160,8 @@ class SMOProgram:
     families: dict[str, list[str]] = field(default_factory=dict)
     arc_of_constraint: dict[str, tuple[str, str]] = field(default_factory=dict)
     rhs_delay_sign: dict[str, float] = field(default_factory=dict)
+    #: Set by :func:`pin_period` on the program it derives.
+    pinned: PeriodPin | None = field(default=None, repr=False, compare=False)
 
     @property
     def explicit_constraint_count(self) -> int:
@@ -200,6 +202,67 @@ class SMOProgram:
                     raise LPError(
                         f"non-topological coefficient {coeff} in {con.name}"
                     )
+
+
+@dataclass(frozen=True)
+class PeriodPin:
+    """How :func:`pin_period` derived a program from ``source``.
+
+    The derived program differs from the source only by its ``FIX[Tc]``
+    row, so anything computed from the source's rows (the cycle engine's
+    difference graph) carries over -- as long as neither program has
+    gained a row or been replaced since; :meth:`holds` checks that.
+    """
+
+    source: SMOProgram
+    source_program: LinearProgram
+    source_rows: int
+    program: LinearProgram
+    rows: int
+    period: float
+
+    def holds(self, smo: SMOProgram) -> bool:
+        """True while ``smo`` and the source still have the rows of the derivation."""
+        return (
+            smo.program is self.program
+            and len(self.program) == self.rows
+            and self.source.program is self.source_program
+            and len(self.source_program) == self.source_rows
+        )
+
+
+def pin_period(smo: SMOProgram, period: float, name: str) -> SMOProgram:
+    """``smo`` with ``Tc`` pinned at ``period``, without a circuit walk.
+
+    The rows, in order, are those of ``build_program(graph,
+    replace(options, fixed_period=period))``: a ``FIX[Tc]`` row where
+    that build puts it (before the other FIX rows), or a new right-hand
+    side when ``options.fixed_period`` already pins Tc.  Every other row
+    is shared copy-on-write with ``smo`` (:meth:`LinearProgram.with_row`),
+    and the result records the derivation in :attr:`SMOProgram.pinned`.
+    The objective is ``smo``'s until the caller replaces it.
+    """
+    fix = smo.families.get("FIX", [])
+    if smo.options.fixed_period is not None:
+        program = smo.program.with_rhs({"FIX[Tc]": period})
+        families = smo.families
+    else:
+        program = smo.program.with_row(
+            "FIX[Tc]", {TC: 1.0}, Sense.EQ, period, before=fix[0] if fix else None
+        )
+        families = {**smo.families, "FIX": ["FIX[Tc]", *fix]}
+    program.name = name
+    return SMOProgram(
+        program=program,
+        graph=smo.graph,
+        options=replace(smo.options, fixed_period=period),
+        families=families,
+        arc_of_constraint=smo.arc_of_constraint,
+        rhs_delay_sign=smo.rhs_delay_sign,
+        pinned=PeriodPin(
+            smo, smo.program, len(smo.program), program, len(program), period
+        ),
+    )
 
 
 def _ordering_flag(graph: TimingGraph, phase_i: str, phase_j: str) -> int:

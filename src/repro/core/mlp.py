@@ -24,6 +24,7 @@ from repro.core.constraints import (
     build_maxplus_system,
     build_program,
     d_var,
+    pin_period,
     s_var,
     schedule_from_values,
     t_var,
@@ -135,6 +136,16 @@ class OptimalClockResult:
         return self.report.feasible if self.report is not None else True
 
 
+def _tie_break(graph: TimingGraph) -> LinExpr:
+    """``sum(s_i) + sum(T_i) + sum(D_i)``, the compact pass's objective."""
+    tie_break: dict[str, float] = {}
+    for phase in graph.phase_names:
+        tie_break[s_var(phase)] = tie_break[t_var(phase)] = 1.0
+    for sync in graph.synchronizers:
+        tie_break[d_var(sync.name)] = 1.0
+    return LinExpr(tie_break)
+
+
 def build_compact_program(
     graph: TimingGraph, options: ConstraintOptions, period: float
 ) -> SMOProgram:
@@ -143,23 +154,33 @@ def build_compact_program(
     Minimizes ``sum(s_i) + sum(T_i) + sum(D_i)``: phases start as early and
     stay as narrow as the constraints allow, and departures hug the phase
     openings.  Any feasible point of this program is an alternate optimum
-    of P2 at ``period``, so Theorem 1 still applies.
+    of P2 at ``period``, so Theorem 1 still applies.  This builds the
+    program from the circuit; Algorithm MLP derives the same program from
+    its Tc pass with :func:`compact_program` instead.
     """
     smo = build_program(
         graph, replace(options, fixed_period=period), name="P2-compact"
     )
-    tie_break: dict[str, float] = {}
-    for phase in graph.phase_names:
-        tie_break[s_var(phase)] = tie_break[t_var(phase)] = 1.0
-    for sync in graph.synchronizers:
-        tie_break[d_var(sync.name)] = 1.0
-    smo.program.minimize(LinExpr(tie_break))
+    smo.program.minimize(_tie_break(graph))
     return smo
 
 
+def compact_program(smo: SMOProgram, period: float) -> SMOProgram:
+    """``P2-compact`` as a view of the Tc pass's program ``smo``.
+
+    The same rows, in the same order, as :func:`build_compact_program`
+    -- P2's rows shared copy-on-write plus ``FIX[Tc]``
+    (:func:`repro.core.constraints.pin_period`) -- with the tie-break
+    objective.  The cycle engine then solves it on P2's difference graph
+    with Tc pinned, without walking the circuit or the rows again.
+    """
+    compact = pin_period(smo, period, name="P2-compact")
+    compact.program.minimize(_tie_break(smo.graph))
+    return compact
+
+
 def _compact_pass(
-    graph: TimingGraph,
-    options: ConstraintOptions,
+    smo: SMOProgram,
     mlp: "MLPOptions",
     optimal_period: float,
     fallback: LPResult,
@@ -167,12 +188,12 @@ def _compact_pass(
 ) -> LPResult:
     """Re-optimize with Tc pinned at the optimum for a canonical schedule.
 
-    Solves :func:`build_compact_program` and records in
-    ``extra["compact"]`` whether the graph answered (``used``), why not
-    (``reason``) and the simplex pivots a fallback took.
+    Solves :func:`compact_program` and records in ``extra["compact"]``
+    whether the graph answered (``used``), why not (``reason``) and the
+    simplex pivots a fallback took.
     """
     build_start = time.perf_counter()
-    smo2 = build_compact_program(graph, options, optimal_period)
+    smo2 = compact_program(smo, optimal_period)
     if stages is not None:
         stages["constraint_gen"] = (
             stages.get("constraint_gen", 0.0) + time.perf_counter() - build_start
@@ -239,7 +260,7 @@ def minimize_cycle_time(
     cycle_info = tc_result.extra.get("cycle")
     if mlp.compact:
         lp_result = _compact_pass(
-            graph, options, mlp, tc_result.objective, tc_result, stages
+            smo, mlp, tc_result.objective, tc_result, stages
         )
         if lp_result is not tc_result:
             lp_solves += 1

@@ -19,11 +19,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import cast
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.cycle.graph import ConstraintGraph
+from repro.core.constraints import SMOProgram
+from repro.cycle.graph import (
+    ConstraintGraph,
+    constraint_graph_for,
+    structure_fingerprint,
+)
 
 _I64 = npt.NDArray[np.int64]
 _F64 = npt.NDArray[np.float64]
@@ -197,6 +203,38 @@ def compile_cycle_graph(
         tc_floor=cg.tc_floor,
         tc_cap=cg.tc_cap,
     )
+
+
+def compiled_graph_for(smo: SMOProgram) -> CompiledCycleGraph:
+    """The compiled difference graph of ``smo``, memoized on the instance.
+
+    The memo is guarded like :func:`~repro.cycle.graph.constraint_graph_for`'s
+    (the program object and its row count).  A program derived by
+    :func:`repro.core.constraints.pin_period` whose derivation still holds
+    reuses its source's structure and weights -- a ``FIX[Tc]`` row adds no
+    edge -- with the pinned graph's scalar bounds.
+    """
+    program = smo.program
+    n_rows = len(program)
+    memo = smo.__dict__.get("_compiled_memo")
+    if memo is not None and memo[0] is program and memo[1] == n_rows:
+        return cast(CompiledCycleGraph, memo[2])
+    cg = constraint_graph_for(smo)
+    pin = smo.pinned
+    if pin is not None and pin.holds(smo):
+        base = compiled_graph_for(pin.source)
+        comp = CompiledCycleGraph(
+            structure=base.structure,
+            graph=cg,
+            a=base.a,
+            a_in=base.a_in,
+            tc_floor=cg.tc_floor,
+            tc_cap=cg.tc_cap,
+        )
+    else:
+        comp = compile_cycle_graph(cg, key=structure_fingerprint(smo))
+    smo.__dict__["_compiled_memo"] = (program, n_rows, comp)
+    return comp
 
 
 def cycle_cache_stats() -> dict[str, int]:

@@ -384,30 +384,67 @@ def constraint_graph_for(smo: SMOProgram) -> ConstraintGraph:
 
     Two cache layers, mirroring :mod:`repro.maxplus.compiled`: the
     materialized graph is memoized on the ``smo`` instance (guarded by the
-    program's row count, so appending rows invalidates it), and the
-    skeleton is shared across instances through a bounded LRU keyed by
-    :func:`structure_fingerprint` -- sweeps and re-cost copies pay only the
-    O(edges) materialize step.
+    program object and its row count, so appending rows invalidates it),
+    and the skeleton is shared across instances through a bounded LRU
+    keyed by :func:`structure_fingerprint` -- sweeps and re-cost copies
+    pay only the O(edges) materialize step.  A program derived by
+    :func:`repro.core.constraints.pin_period` whose derivation still
+    holds pays nothing: its graph is the source's with Tc pinned
+    (:func:`pin_graph`).
     """
-    n_rows = len(smo.program.constraints)
+    program = smo.program
+    n_rows = len(program)
     memo = smo.__dict__.get("_graph_memo")
-    if memo is not None and memo[0] == n_rows:
-        return cast(ConstraintGraph, memo[1])
-    key = structure_fingerprint(smo)
-    skeleton = _SKELETONS.get(key)
-    if skeleton is None:
-        _GRAPH_STATS["misses"] += 1
-        skeleton = _build_skeleton(smo)
-        _SKELETONS[key] = skeleton
-        if len(_SKELETONS) > _SKELETON_CACHE_SIZE:
-            _SKELETONS.popitem(last=False)
-            _GRAPH_STATS["evictions"] += 1
+    if memo is not None and memo[0] is program and memo[1] == n_rows:
+        return cast(ConstraintGraph, memo[2])
+    pin = smo.pinned
+    if pin is not None and pin.holds(smo):
+        cg = pin_graph(constraint_graph_for(pin.source), pin.period)
     else:
-        _GRAPH_STATS["hits"] += 1
-        _SKELETONS.move_to_end(key)
-    cg = _materialize(skeleton, smo)
-    smo.__dict__["_graph_memo"] = (n_rows, cg)
+        key = structure_fingerprint(smo)
+        skeleton = _SKELETONS.get(key)
+        if skeleton is None:
+            _GRAPH_STATS["misses"] += 1
+            skeleton = _build_skeleton(smo)
+            _SKELETONS[key] = skeleton
+            if len(_SKELETONS) > _SKELETON_CACHE_SIZE:
+                _SKELETONS.popitem(last=False)
+                _GRAPH_STATS["evictions"] += 1
+        else:
+            _GRAPH_STATS["hits"] += 1
+            _SKELETONS.move_to_end(key)
+        cg = _materialize(skeleton, smo)
+    smo.__dict__["_graph_memo"] = (program, n_rows, cg)
     return cg
+
+
+def pin_graph(cg: ConstraintGraph, period: float) -> ConstraintGraph:
+    """``cg`` plus the scalar bounds of a ``FIX[Tc]`` row at ``period``.
+
+    ``Tc == period`` is a constant row: it adds no edge, only
+    ``Tc <= period`` to :attr:`~ConstraintGraph.tc_upper` and
+    ``Tc >= period`` to :attr:`~ConstraintGraph.tc_lower`, in the places
+    :func:`_materialize` gives them (or in place of an existing
+    ``FIX[Tc]``'s).  Nodes, edges and the skipped rows are shared.
+    """
+    name = "FIX[Tc]"
+    if any(n == name for _, n in cg.tc_upper):
+        upper = [(period if n == name else v, n) for v, n in cg.tc_upper]
+        lower = [(period if n == name else v, n) for v, n in cg.tc_lower]
+    else:
+        upper = [*cg.tc_upper, (period, name)]
+        lower = list(cg.tc_lower)
+        # The implicit Tc >= 0 comes last, after every row's bound.
+        implicit = bool(lower) and lower[-1][1] == f"C4[{TC}]"
+        lower.insert(len(lower) - implicit, (period, name))
+    return ConstraintGraph(
+        nodes=cg.nodes,
+        edges=cg.edges,
+        tc_lower=lower,
+        tc_upper=upper,
+        contradictions=cg.contradictions,
+        skipped=cg.skipped,
+    )
 
 
 def graph_cache_stats() -> dict[str, int]:

@@ -43,17 +43,15 @@ from repro.core.constraints import TC, SMOProgram, d_var, s_var, t_var
 from repro.cycle.compiled import (
     CompiledCycleGraph,
     CycleStructure,
-    compile_cycle_graph,
+    compiled_graph_for,
     with_reversed_edges,
 )
 from repro.cycle.graph import (
     ORIGIN,
-    constraint_graph_for,
     dep_node,
     end_node,
     event_substitution,
     start_node,
-    structure_fingerprint,
 )
 from repro.errors import SolverError
 from repro.lp.model import LinearProgram, Sense
@@ -807,9 +805,7 @@ def solve_cycle(
 
     result: LPResult | None = None
     if smo is not None and reason is None:
-        comp = compile_cycle_graph(
-            constraint_graph_for(smo), key=structure_fingerprint(smo)
-        )
+        comp = compiled_graph_for(smo)
         objective_coeff = _tc_objective_coeff(program)
         if objective_coeff is None:
             result, reason = _solve_pinned(program, smo, comp, tol)

@@ -81,10 +81,6 @@ def execute_job(job: Job, key: str | None = None) -> JobResult:
 
 
 def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
-    graph = job.graph
-    if job.arc_override is not None:
-        src, dst, delay = job.arc_override
-        graph = graph.with_arc_delay(src, dst, delay)
     mlp = job.mlp
     if job.kernel is not None:
         # Pure performance hint: redirect the slide onto the requested
@@ -92,15 +88,25 @@ def _execute_minimize(job: MinimizeJob, key: str) -> JobResult:
         mlp = replace(mlp or MLPOptions(), kernel=job.kernel)
     smo = None
     lint_payload = None
-    if job.options is not None and job.options.pins_clock:
-        # Pre-flight: a negative cycle in the difference-constraint graph
-        # proves the LP infeasible before any simplex runs; the certificate
-        # ships in the payload either way, and the built program is reused
-        # by the solve below when the job survives the check.
-        with trace.span("lint.preflight") as lint_span:
-            smo = build_program(graph, job.options)
-            diagnostics = diagnose(graph, job.options, smo=smo)
-            lint_span.set("feasible", diagnostics.feasible)
+    diagnostics = job.preflight
+    if diagnostics is not None and diagnostics.smo is not None:
+        # The admission gate already ran the pre-flight on this circuit:
+        # reuse its program and the difference graph memoized on it.
+        smo = diagnostics.smo
+        graph = smo.graph
+    else:
+        diagnostics = None
+        graph = job.solved_graph()
+        if job.options is not None and job.options.pins_clock:
+            # Pre-flight: a negative cycle in the difference-constraint
+            # graph proves the LP infeasible before any simplex runs; the
+            # certificate ships in the payload either way, and the built
+            # program is reused by the solve below when the job survives.
+            with trace.span("lint.preflight") as lint_span:
+                smo = build_program(graph, job.options)
+                diagnostics = diagnose(graph, job.options, smo=smo)
+                lint_span.set("feasible", diagnostics.feasible)
+    if diagnostics is not None:
         lint_payload = diagnostics.to_dict()
         if diagnostics.certificate is not None:
             certificate = diagnostics.certificate

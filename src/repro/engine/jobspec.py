@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.circuit.elements import FlipFlop
 from repro.circuit.graph import TimingGraph
@@ -28,6 +28,9 @@ from repro.core.constraints import ConstraintOptions
 from repro.core.mlp import MLPOptions
 from repro.lp.backends import canonical_backend
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.lint.graphdiag import GraphDiagnostics
 
 #: Bump when the signature layout changes so stale disk caches never match.
 SIGNATURE_VERSION = 2
@@ -162,6 +165,12 @@ class MinimizeJob:
     performance device -- every kernel the engine selects produces
     identical results, so two jobs that differ only in it must share one
     cache entry.
+
+    ``preflight`` is another such hint: the graph diagnosis of
+    :meth:`solved_graph` under ``options`` that an admission gate already
+    ran (``repro serve``), with the program it built.  The engine then
+    reuses both instead of running its own pre-flight.  Requests cannot
+    set it.
     """
 
     graph: TimingGraph
@@ -169,10 +178,20 @@ class MinimizeJob:
     mlp: MLPOptions | None = None
     arc_override: tuple[str, str, float] | None = None
     label: str = ""
-    # Performance hint -- not part of the cache signature (see docstring).
+    # Performance hints -- not part of the cache signature (see docstring).
     kernel: str | None = None
+    preflight: GraphDiagnostics | None = field(
+        default=None, repr=False, compare=False
+    )
 
     kind = "minimize"
+
+    def solved_graph(self) -> TimingGraph:
+        """The circuit the engine solves: ``graph`` with ``arc_override`` applied."""
+        if self.arc_override is None:
+            return self.graph
+        src, dst, delay = self.arc_override
+        return self.graph.with_arc_delay(src, dst, delay)
 
     def signature(self) -> dict:
         return {

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
+
+if TYPE_CHECKING:
+    from repro.engine.serial import PoolStats
 
 #: Canonical stage ordering for reports.
 STAGES = ("constraint_gen", "lp_solve", "compact", "slide", "analysis")
@@ -218,8 +222,8 @@ class MetricsAggregator:
     def set_workers(self, workers: int) -> None:
         self._report.workers = workers
 
-    def set_pool_stats(self, stats: "PoolStats") -> None:
-        """Copy failover counters off a :class:`~repro.engine.pool.PoolStats`."""
+    def set_pool_stats(self, stats: PoolStats) -> None:
+        """Copy failover counters off a :class:`~repro.engine.serial.PoolStats`."""
         self._report.crashes = stats.crashes
         self._report.timeouts = stats.timeouts
         self._report.soft_failures = stats.soft_failures

@@ -19,9 +19,11 @@ Soft failures -- exceptions raised *inside* a job, which the worker
 survives -- are returned as failed results immediately, without retry:
 they are deterministic properties of the job, not of the run.
 
-The serial fallback (:class:`SerialPool`) executes jobs in-process with
-the same interface; it cannot enforce timeouts or survive hard crashes,
-which is why fault-injection tests always use the process pool.
+The serial fallback (:class:`~repro.engine.serial.SerialPool`) executes
+jobs in-process with the same interface; it cannot enforce timeouts or
+survive hard crashes, which is why fault-injection tests always use the
+process pool.  This module loads only when a pool of more than one
+worker is made (:func:`~repro.engine.serial.make_pool`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _wait_connections
 from types import FrameType
@@ -39,7 +41,10 @@ from typing import Any, Callable, Union
 
 from repro.engine.execute import execute_job
 from repro.engine.jobspec import Job, JobResult
+from repro.engine.serial import PoolStats, SerialPool, make_pool
 from repro.obs import metrics, trace
+
+__all__ = ["PoolStats", "SerialPool", "WorkerPool", "make_pool"]
 
 #: What signal.signal accepts and returns (mirrors typeshed's _HANDLER).
 _SigHandler = Union[Callable[[int, "FrameType | None"], Any], int,
@@ -48,18 +53,6 @@ _SigHandler = Union[Callable[[int, "FrameType | None"], Any], int,
 #: How long (seconds) the master sleeps between health checks when no
 #: result arrives and no deadline is pending.
 _POLL_INTERVAL = 0.1
-
-
-@dataclass
-class PoolStats:
-    """Execution accounting for one pool instance."""
-
-    workers: int = 1
-    executed: int = 0
-    retries: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    soft_failures: int = 0
 
 
 def _preferred_context() -> multiprocessing.context.BaseContext:
@@ -169,26 +162,6 @@ class _Worker:
                 # joined at shutdown while the pipe is full).
                 self.task_queue.cancel_join_thread()
             self.task_queue.close()
-
-
-class SerialPool:
-    """In-process fallback with the same ``run`` interface as WorkerPool."""
-
-    def __init__(self) -> None:
-        self.stats = PoolStats(workers=1)
-
-    def run(self, tasks: list[tuple[Job, str]]) -> list[JobResult]:
-        results = []
-        for job, key in tasks:
-            result = execute_job(job, key)
-            self.stats.executed += 1
-            if not result.ok:
-                self.stats.soft_failures += 1
-            results.append(result)
-        return results
-
-    def close(self) -> None:
-        pass
 
 
 class WorkerPool:
@@ -375,14 +348,3 @@ class WorkerPool:
                 attempts=item.attempts,
             )
         return _Worker(self._ctx)
-
-
-def make_pool(
-    jobs: int,
-    timeout: float | None = None,
-    retries: int = 1,
-) -> SerialPool | WorkerPool:
-    """A pool sized to ``jobs``: serial for 1, processes otherwise."""
-    if jobs <= 1:
-        return SerialPool()
-    return WorkerPool(workers=jobs, timeout=timeout, retries=retries)

@@ -28,7 +28,7 @@ from repro.core.parametric import SweepPoint, SweepResult, _fit_segments
 from repro.engine.cache import ResultCache
 from repro.engine.jobspec import Job, JobResult, MinimizeJob, SweepJob, job_key
 from repro.engine.metrics import EngineReport, MetricsAggregator
-from repro.engine.pool import make_pool
+from repro.engine.serial import make_pool
 from repro.errors import ReproError
 from repro.obs import metrics, trace
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -19,8 +20,7 @@ class TokenKind(str, enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -35,19 +35,58 @@ class Token:
         return float(self.text)
 
 
-_SINGLE = {
+#: One alternative per token class, tried in order at each position after
+#: any run of blanks.  Identifiers start with a letter or ``_`` and go on
+#: over letters, digits and ``_./[]``; numbers take an optional sign, then
+#: digits and dots, then an exponent only when digits follow it.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+        (?P<newline>\n)
+      | (?P<comment>(?:\#|//)[^\n]*)
+      | (?P<punct>[{};]|->)
+      | (?P<string>"[^"\n]*")
+      | (?P<number>(?:[+-](?=[\d.])|(?=\d|\.[\d.]))[\d.]*(?:[eE][+-]?\d+)?)
+      | (?P<ident>[^\W\d][\w./\[\]]*)
+      | (?P<other>[^ \t\r])
+    )
+    """,
+    re.VERBOSE,
+)
+
+_PUNCT = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,
     ";": TokenKind.SEMI,
+    "->": TokenKind.ARROW,
 }
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def _number_end(text: str, i: int) -> int:
+    """Where a number starting at ``i`` ends when every ``isdigit`` counts.
+
+    ``\\d`` matches decimal digits only; characters such as ``²`` are
+    digits to :meth:`str.isdigit` but not to :func:`float`, so a number
+    that runs into one is malformed.  Only non-ASCII text needs this.
+    """
+    n = len(text)
+    j = i + 1 if text[i] in "+-" else i
+    while j < n and (text[j].isdigit() or text[j] == "."):
+        j += 1
+    if j < n and text[j] in "eE":
+        k = j + 1
+        if k < n and text[k] in "+-":
+            k += 1
+        if k < n and text[k].isdigit():
+            j = k
+            while j < n and text[j].isdigit():
+                j += 1
+    return j
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_./[]"
+def _malformed(word: str, line: int, col: int) -> ParseError:
+    return ParseError(f"malformed number {word!r}", line, col)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -55,81 +94,67 @@ def tokenize(text: str) -> list[Token]:
 
     Comments run from ``#`` (or ``//``) to end of line.  Numbers accept an
     optional sign, decimal point and exponent.  Strings are double-quoted
-    with no escape processing (labels only).
+    with no escape processing (labels only).  Columns count characters
+    from 1; the EOF token sits after the last token or blank, or at the
+    start of a trailing comment.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token(TokenKind.ARROW, "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string literal", line, col)
-            value = text[i + 1 : j]
-            if "\n" in value:
-                raise ParseError("newline inside string literal", line, col)
-            tokens.append(Token(TokenKind.STRING, value, line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (
-            ch in "+-." and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")
-        ):
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
+    append = tokens.append
+    # Token(...) through tuple.__new__, skipping NamedTuple's Python-level
+    # __new__: this loop runs once per token of the file.
+    new = tuple.__new__
+    ident, number, string = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING
+    # Unicode digits that float() rejects (``²``) and digit-like symbols
+    # that are not letters (``½``) only occur in non-ASCII text.
+    unicode = not text.isascii()
+    line, line_start = 1, 0
+    eof = len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        col = start - line_start + 1
+        if kind == "ident":
+            word = m.group(kind)
+            if unicode and not (word[0].isalpha() or word[0] == "_"):
+                if word[0].isdigit():
+                    raise _malformed(
+                        text[start : _number_end(text, start)], line, col
+                    )
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            append(new(Token, (ident, word, line, col)))
+        elif kind == "number":
+            word = m.group(kind)
+            if unicode:
+                word = text[start : _number_end(text, start)]
             try:
                 float(word)
             except ValueError:
-                raise ParseError(f"malformed number {word!r}", line, col) from None
-            tokens.append(Token(TokenKind.NUMBER, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(Token(TokenKind.IDENT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+                raise _malformed(word, line, col) from None
+            append(new(Token, (number, word, line, col)))
+        elif kind == "punct":
+            word = m.group(kind)
+            append(new(Token, (_PUNCT[word], word, line, col)))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "string":
+            append(new(Token, (string, m.group(kind)[1:-1], line, col)))
+        elif kind == "comment":
+            if m.end() == eof:
+                eof = start
+        else:
+            ch = m.group(kind)
+            if ch == '"':
+                closed = text.find('"', start + 1) >= 0
+                raise ParseError(
+                    "newline inside string literal"
+                    if closed
+                    else "unterminated string literal",
+                    line,
+                    col,
+                )
+            if ch in "+-." and text[start + 1 : start + 2].isdigit():
+                raise _malformed(text[start : _number_end(text, start)], line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    append(new(Token, (TokenKind.EOF, "", line, eof - line_start + 1)))
     return tokens

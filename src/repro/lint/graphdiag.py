@@ -22,18 +22,14 @@ certificate requiring exactly the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.circuit.graph import TimingGraph
 from repro.core.constraints import ConstraintOptions, SMOProgram, build_program
-from repro.cycle import compile_cycle_graph, minimum_feasible_period
-from repro.cycle.graph import (
-    ConstraintGraph,
-    DiffEdge,
-    constraint_graph_for,
-    structure_fingerprint,
-)
+from repro.cycle import minimum_feasible_period
+from repro.cycle.compiled import compiled_graph_for
+from repro.cycle.graph import ConstraintGraph, DiffEdge, constraint_graph_for
 
 
 @dataclass(frozen=True)
@@ -136,13 +132,16 @@ class GraphDiagnostics:
     ``certificate`` is set when the system is provably infeasible;
     ``bound`` always carries the Tc lower bound (infinite when
     structurally infeasible).  ``tc_cap`` is the tightest scalar upper
-    bound on Tc, when the options pin or cap the period.
+    bound on Tc, when the options pin or cap the period.  ``smo`` is the
+    diagnosed program, which a solve of the same circuit can reuse
+    together with its memoized graph.
     """
 
     certificate: InfeasibilityCertificate | None
     bound: TcBound
     tc_cap: float | None
     graph: ConstraintGraph
+    smo: SMOProgram | None = field(default=None, repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -190,9 +189,9 @@ def diagnose(
             message=f"constraint {name} is unsatisfiable: {detail}",
         )
         bound = TcBound(value=math.inf, exact=exact)
-        return GraphDiagnostics(certificate, bound, cap, cg)
+        return GraphDiagnostics(certificate, bound, cap, cg, smo)
 
-    comp = compile_cycle_graph(cg, key=structure_fingerprint(smo))
+    comp = compiled_graph_for(smo)
     period = minimum_feasible_period(replace(comp, tc_cap=None), tol=tol)
     cycle = tuple(cg.edges[i] for i in period.cycle)
     bound = TcBound(
@@ -239,4 +238,4 @@ def diagnose(
                 required_tc=floor,
                 pinned_by=pinned_by,
             )
-    return GraphDiagnostics(certificate, bound, cap, cg)
+    return GraphDiagnostics(certificate, bound, cap, cg, smo)

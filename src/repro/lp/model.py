@@ -254,14 +254,79 @@ class LinearProgram:
         unknown = set(updates) - self._constraint_names
         if unknown:
             raise LPError(f"with_rhs names unknown constraints: {sorted(unknown)}")
+        clone = self._share()
+        if updates:
+            clone._constraints = [
+                con
+                if con.name not in updates
+                else Constraint(
+                    con.name, con.lhs, con.sense, float(updates[con.name])
+                )
+                for con in self._constraints
+            ]
+        return clone
+
+    def with_row(
+        self,
+        name: str,
+        terms: Mapping[str, float],
+        sense: Sense | str,
+        rhs: float,
+        before: str | None = None,
+    ) -> "LinearProgram":
+        """A copy of this program with one more row (see :meth:`add_row`).
+
+        The row goes right before the row named ``before``, or last when
+        ``before`` is ``None``.  Every other row is shared with the
+        original, as in :meth:`with_rhs`; the copy's structural memo starts
+        empty because its structure differs.
+        """
+        clone = self._share()
+        if before is None:
+            clone.add_row(name, terms, sense, rhs)
+            return clone
+        if name in self._constraint_names:
+            raise LPError(f"duplicate constraint name {name!r}")
+        # Rows named as insertion points sit near the end (the FIX family).
+        at = next(
+            (
+                i
+                for i in range(len(self._constraints) - 1, -1, -1)
+                if self._constraints[i].name == before
+            ),
+            None,
+        )
+        if at is None:
+            raise LPError(f"with_row names unknown constraint {before!r}")
+        clone._constraints.insert(
+            at, Constraint(name, LinExpr(terms), Sense(sense), float(rhs))
+        )
+        clone._constraint_names.add(name)
+        cols = []
+        for v in terms:
+            clone.declare(v)
+            cols.append(clone._var_index[v])
+        indptr, first, k = self._csr_indptr, self._csr_indptr[at], len(cols)
+        clone._csr_indptr = indptr[: at + 1] + array(
+            "q", [x + k for x in indptr[at:]]
+        )
+        clone._csr_cols = (
+            self._csr_cols[:first] + array("q", cols) + self._csr_cols[first:]
+        )
+        clone._csr_vals = (
+            self._csr_vals[:first]
+            + array("d", terms.values())
+            + self._csr_vals[first:]
+        )
+        clone._csr_shared = False
+        clone.structure_memo = {}
+        return clone
+
+    def _share(self) -> "LinearProgram":
+        """A copy sharing rows, objective and CSR buffers copy-on-write."""
         clone = LinearProgram(name=self.name)
         clone._objective = self._objective
-        clone._constraints = [
-            con
-            if con.name not in updates
-            else Constraint(con.name, con.lhs, con.sense, float(updates[con.name]))
-            for con in self._constraints
-        ]
+        clone._constraints = list(self._constraints)
         clone._constraint_names = set(self._constraint_names)
         clone._free = set(self._free)
         clone._declared = dict(self._declared)

@@ -30,11 +30,12 @@ import asyncio
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import AsyncIterator, Callable, SupportsFloat, TypeVar, cast
 
 from repro.engine.cache import ResultCache
 from repro.engine.execute import execute_job
-from repro.engine.jobspec import Job, JobResult, SweepJob, job_key
+from repro.engine.jobspec import Job, JobResult, MinimizeJob, SweepJob, job_key
 from repro.engine.runner import Engine
 from repro.errors import ReproError
 from repro.lint.graphdiag import diagnose
@@ -295,7 +296,7 @@ class AnalysisService:
         key = job_key(job)
         record = JobRecord(self._new_id(), key, job.kind, job.label)
         self._remember(record)
-        findings = self._admission_findings(job)
+        findings, job = self._admit(job)
         if findings:
             self.stats.rejected += 1
             self.registry.counter(
@@ -351,26 +352,34 @@ class AnalysisService:
                 break  # never forget a live job
             self._records.popitem(last=False)
 
-    def _admission_findings(self, job: Job) -> list[str]:
-        """Error-severity lint findings that bar a job from execution.
+    def _admit(self, job: Job) -> tuple[list[str], Job]:
+        """Error-severity lint findings that bar a job, and the job to run.
 
         Mirrors the CLI pre-flight: the structural rule registry always
         runs; when the request pins or caps the clock, the constraint-graph
-        diagnosis runs too, so a provably infeasible job is rejected with
-        a named certificate instead of burning an executor slot on an LP
-        that must fail.
+        diagnosis runs too -- on the circuit the engine will solve, so a
+        minimize job's ``arc_override`` is applied -- and a provably
+        infeasible job is rejected with a named certificate instead of
+        burning an executor slot on an LP that must fail.  A minimize job
+        that passes carries the diagnosis and its program to the engine
+        (:attr:`MinimizeJob.preflight`), which then skips its own.
         """
         graph = getattr(job, "graph", None)
         if not self.lint or graph is None:
-            return []
+            return [], job
         options = getattr(job, "options", None)
         report = run_rules(graph, None, options)
         findings = [finding.message for finding in report.errors]
         if options is not None and options.pins_clock:
+            minimize = job if isinstance(job, MinimizeJob) else None
+            if minimize is not None:
+                graph = minimize.solved_graph()
             diagnostics = diagnose(graph, options)
             if diagnostics.certificate is not None:
                 findings.append(diagnostics.certificate.message)
-        return findings
+            elif minimize is not None and not findings:
+                job = replace(minimize, preflight=diagnostics)
+        return findings, job
 
     # ------------------------------------------------------------------
     # Execution pipeline

@@ -11,10 +11,16 @@ computes directly.  Pinned down here:
   the same schedule.
 * **Definition** -- no point of the optimal face has a later event time
   (phase start or end, absolute departure) than the returned one.
+* **Derivation** -- the pass's program is a view of the Tc pass's P2
+  (:func:`repro.core.mlp.compact_program`): the same rows in the same
+  order as a fresh :func:`~repro.core.mlp.build_compact_program`, solved
+  on P2's difference graph with Tc pinned, with identical answers.
 * **Fallback** -- a skipped row or a non-integer objective hands the
   program to a simplex and says why.
 """
 
+import glob
+import os
 import random
 
 import pytest
@@ -22,9 +28,27 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.mlp as mlp_module
 from repro.circuit.graph import DelayArc, TimingGraph
+from repro.clocking.skew import SkewBound
 from repro.core.analysis import analyze
-from repro.core.constraints import ConstraintOptions, d_var, s_var, t_var
-from repro.core.mlp import MLPOptions, build_compact_program, minimize_cycle_time
+from repro.core.constraints import (
+    ConstraintOptions,
+    build_program,
+    d_var,
+    s_var,
+    t_var,
+)
+from repro.core.mlp import (
+    MLPOptions,
+    build_compact_program,
+    compact_program,
+    minimize_cycle_time,
+)
+from repro.cycle.compiled import compiled_graph_for
+from repro.cycle.graph import (
+    build_constraint_graph,
+    constraint_graph_for,
+    graph_cache_stats,
+)
 from repro.designs import (
     banked_array,
     example1,
@@ -35,6 +59,7 @@ from repro.designs import (
 )
 from repro.engine.execute import execute_job
 from repro.engine.jobspec import MinimizeJob
+from repro.lang.parser import parse_file
 from repro.lint import sanitize_solution
 from repro.lp.backends import available_backends, solve
 from repro.lp.expr import var
@@ -193,22 +218,122 @@ class TestGeneratedDesigns:
         assert report.ok, report.violations
 
 
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "examples")
+
+#: Every example file, and seeded generator designs of both families.
+DERIVED_DESIGNS = {
+    **{
+        os.path.basename(path): (lambda path=path: parse_file(path).to_graph())
+        for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.lcd")))
+    },
+    "pipeline4x3_seed7": lambda: _perturbed(pipeline(4, 3), 7),
+    "pipeline3x2k3_seed5": lambda: _perturbed(pipeline(3, 2, k=3), 5),
+    "banked3x4_seed11": lambda: _perturbed(banked_array(3, 4), 11),
+    "banked2x7k3_seed3": lambda: _perturbed(banked_array(2, 7, k=3), 3),
+}
+
+#: Option sets by name, scaled to the design's unconstrained optimum.
+OPTION_SETS = {
+    "default": lambda tc, phase: ConstraintOptions(),
+    "max_period": lambda tc, phase: ConstraintOptions(max_period=1.2 * tc),
+    "fixed_period": lambda tc, phase: ConstraintOptions(fixed_period=1.1 * tc),
+    "fixed_starts": lambda tc, phase: ConstraintOptions(fixed_starts={phase: 0.0}),
+    "min_width": lambda tc, phase: ConstraintOptions(min_width=0.05 * tc),
+    "skew": lambda tc, phase: ConstraintOptions(
+        skew={phase: SkewBound(0.01 * tc, 0.02 * tc)}
+    ),
+}
+
+
+class TestDerivedProgram:
+    @pytest.fixture(scope="class", params=sorted(DERIVED_DESIGNS))
+    def design(self, request):
+        graph = DERIVED_DESIGNS[request.param]()
+        return graph, minimize_cycle_time(graph).period
+
+    @pytest.mark.parametrize("option_set", sorted(OPTION_SETS))
+    def test_view_of_p2_equals_a_fresh_build(self, design, option_set):
+        graph, tc = design
+        options = OPTION_SETS[option_set](tc, graph.phase_names[0])
+        smo = build_program(graph, options)
+        result = minimize_cycle_time(graph, options, smo=smo)
+        assert result.extra["compact"]["used"] is True
+        fresh = build_compact_program(graph, options, result.period)
+        misses = graph_cache_stats()["misses"]
+        derived = compact_program(smo, result.period)
+        # The same rows, names, senses, rhs and order, and objective.
+        assert derived.program.name == fresh.program.name == "P2-compact"
+        assert str(derived.program) == str(fresh.program)
+        assert derived.program.variables == fresh.program.variables
+        assert derived.families == fresh.families
+        assert derived.options == fresh.options
+        # P2's graph with Tc pinned, built without a skeleton or structure.
+        ours, theirs = constraint_graph_for(derived), build_constraint_graph(fresh)
+        assert graph_cache_stats()["misses"] == misses
+        assert ours.nodes == theirs.nodes
+        assert ours.edges == theirs.edges
+        assert ours.tc_lower == theirs.tc_lower
+        assert ours.tc_upper == theirs.tc_upper
+        assert ours.skipped == theirs.skipped == []
+        assert ours.contradictions == theirs.contradictions == []
+        comp = compiled_graph_for(derived)
+        assert comp.structure is compiled_graph_for(smo).structure
+        assert comp.tc_floor == comp.tc_cap == result.period
+        # The same schedule, values and slacks as the fresh program gets.
+        mine = solve(derived.program, backend="cycle", context=derived)
+        reference = solve(fresh.program, backend="cycle", context=fresh)
+        assert mine.extra["cycle"]["used"] is True
+        assert mine.values == reference.values == result.lp_result.values
+        assert mine.slacks == reference.slacks
+        assert mine.objective == reference.objective
+
+    def test_csr_matches_a_fresh_build(self):
+        # The FIX[Tc] row lands between the fixed starts and the rows
+        # before them, so the coefficient buffers are spliced, not appended.
+        graph = example2()
+        options = ConstraintOptions(fixed_starts={graph.phase_names[0]: 0.0})
+        smo = build_program(graph, options)
+        derived = compact_program(smo, 320.0).program.to_csr()
+        fresh = build_compact_program(graph, options, 320.0).program.to_csr()
+        assert derived.names == fresh.names
+        assert derived.variables == fresh.variables
+        for attr in ("indptr", "indices", "data"):
+            assert (getattr(derived.a, attr) == getattr(fresh.a, attr)).all()
+        assert (derived.rhs == fresh.rhs).all()
+        assert (derived.c == fresh.c).all()
+        # The source program is untouched by the derivation.
+        assert len(smo.program) + 1 == len(fresh.names)
+        assert "FIX[Tc]" not in smo.program.to_csr().names
+
+    def test_a_changed_source_is_not_reused(self):
+        graph = example1()
+        smo = build_program(graph)
+        derived = compact_program(smo, 110.0)
+        assert derived.pinned is not None and derived.pinned.holds(derived)
+        smo.program.add_row("extra", {"D[L1]": 1.0}, ">=", 1.0)
+        assert not derived.pinned.holds(derived)
+        cg = constraint_graph_for(derived)
+        assert cg.edges == build_constraint_graph(derived).edges
+        assert "extra" not in {e.constraint for e in cg.edges}
+
+
 class TestFallback:
     def test_skipped_row_falls_back_to_the_lp(self, monkeypatch):
         # A row over two departures is not a difference constraint: the
-        # graph lowering skips it, so the pass must not trust the graph.
-        build = mlp_module.build_compact_program
+        # graph lowering skips it, so the pass must not trust the graph --
+        # nor reuse the Tc pass's graph for a program that gained a row.
+        derive = mlp_module.compact_program
         programs = []
 
-        def with_sum_row(graph, options, period):
-            smo = build(graph, options, period)
-            smo.program.add_row(
+        def with_sum_row(smo, period):
+            compact = derive(smo, period)
+            compact.program.add_row(
                 "extra_sum", {"D[A1]": 1.0, "D[A2]": 1.0}, ">=", 5.0
             )
-            programs.append(smo.program)
-            return smo
+            programs.append(compact.program)
+            return compact
 
-        monkeypatch.setattr(mlp_module, "build_compact_program", with_sum_row)
+        monkeypatch.setattr(mlp_module, "compact_program", with_sum_row)
         result = minimize_cycle_time(example2())
         compact = result.extra["compact"]
         assert compact["used"] is False

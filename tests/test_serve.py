@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+import repro.cli
+import repro.core.mlp
+import repro.core.parametric
+import repro.engine.execute
+import repro.lint.graphdiag
+import repro.lint.rules
+import repro.serve.service
 from repro.cli import main
 from repro.engine import Engine
 from repro.serve import (
@@ -227,6 +234,106 @@ class TestService:
         assert pct["p99"] == pytest.approx(99.0, abs=1.0)
         assert pct["p50"] <= pct["p95"] <= pct["p99"]
         assert latency_percentiles([]) == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+
+class TestOnePreflight:
+    """A capped minimize is diagnosed once, on the circuit the engine solves."""
+
+    @staticmethod
+    def _serve(request, lint=True):
+        async def _go():
+            svc = AnalysisService(store=None, workers=1, lint=lint)
+            record = await svc.submit_and_wait(request)
+            await svc.drain(timeout=5)
+            return record
+
+        return run(_go())
+
+    @staticmethod
+    def _count_layers(monkeypatch):
+        """Count build_program and diagnose calls wherever they are bound."""
+        counts = {"build_program": 0, "diagnose": 0}
+        modules = {
+            "build_program": (
+                repro.core.mlp,
+                repro.core.parametric,
+                repro.lint.graphdiag,
+                repro.engine.execute,
+            ),
+            "diagnose": (
+                repro.cli,
+                repro.lint.rules,
+                repro.serve.service,
+                repro.engine.execute,
+            ),
+        }
+        for name, bound_in in modules.items():
+            for module in bound_in:
+
+                def counted(*args, _name=name, _inner=getattr(module, name), **kw):
+                    counts[_name] += 1
+                    return _inner(*args, **kw)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_override_within_the_cap_is_solved(self):
+        # example1 with Delta_41 = 40 has Tc = 90 (Fig. 7), under the cap;
+        # the unmodified circuit's 110 is not what the engine solves.
+        record = self._serve(
+            {
+                **MIN_EX1,
+                "arc_override": ["L4", "L1", 40],
+                "options": {"max_period": 100},
+            }
+        )
+        assert record.status == "done", record.error
+        assert record.result.value == 90.0
+
+    def test_override_above_the_cap_is_rejected(self):
+        record = self._serve(
+            {
+                **MIN_EX1,
+                "arc_override": ["L4", "L1", 100],
+                "options": {"max_period": 115},
+            }
+        )
+        assert record.status == "rejected"
+        assert "requires Tc >= 120" in record.error
+
+    def test_capped_minimize_builds_and_diagnoses_once(self, monkeypatch):
+        counts = self._count_layers(monkeypatch)
+        record = self._serve({**MIN_EX1, "options": {"max_period": 200}})
+        assert record.status == "done"
+        assert record.result.value == 110.0
+        assert counts == {"build_program": 1, "diagnose": 1}
+        assert record.result.payload["lint"]["feasible"] is True
+        assert record.result.payload["compact"]["used"] is True
+
+    def test_without_lint_the_engine_runs_its_preflight(self, monkeypatch):
+        counts = self._count_layers(monkeypatch)
+        record = self._serve(
+            {**MIN_EX1, "options": {"max_period": 200}}, lint=False
+        )
+        assert record.status == "done"
+        assert counts == {"build_program": 1, "diagnose": 1}
+        assert record.result.payload["lint"]["feasible"] is True
+
+    def test_result_equals_the_engine_preflight(self):
+        request = {
+            **MIN_EX1,
+            "arc_override": ["L4", "L1", 60],
+            "options": {"max_period": 120},
+        }
+        served = self._serve(request).result
+        direct = Engine(jobs=1).run_jobs([job_from_request(request)])[0]
+        assert served.key == direct.key
+        assert served.value == direct.value == 100.0
+        assert served.payload == direct.payload
+
+    def test_requests_cannot_set_the_preflight(self):
+        with pytest.raises(RequestError):
+            job_from_request({**MIN_EX1, "preflight": {"feasible": True}})
 
 
 # ----------------------------------------------------------------------

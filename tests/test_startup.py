@@ -72,6 +72,7 @@ LAZY_PACKAGES = (
     "repro.circuit",
     "repro.clocking",
     "repro.core",
+    "repro.engine",
     "repro.lang",
     "repro.lint",
     "repro.lp",
@@ -210,6 +211,26 @@ class TestNetworkxOffDefaultPaths:
         assert returncode == 0, out
         assert "optimal cycle time: 110" in out
         assert loaded & set(SOLVER_MODULES.values()) == {SOLVER_MODULES[backend]}
+
+
+class TestProcessPoolOnDemand:
+    def test_serial_sweep_leaves_the_process_pool_unloaded(self):
+        argv = ["sweep", EXAMPLE1, "L4", "L1", "--lo", "0", "--hi", "140"]
+        loaded = _modules_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0"
+        )
+        assert "repro.engine.runner" in loaded
+        assert not loaded & {"repro.engine.pool", "multiprocessing"}
+
+    def test_two_workers_load_the_process_pool(self):
+        loaded = _modules_after(
+            "from repro.engine import make_pool\n"
+            "make_pool(2).close()"
+        )
+        assert {"repro.engine.pool", "multiprocessing"} <= loaded
 
 
 class TestLazyExports:
