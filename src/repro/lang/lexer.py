@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import NamedTuple
+from typing import NamedTuple, cast
 
 from repro.errors import ParseError
 
@@ -110,7 +110,7 @@ def tokenize(text: str) -> list[Token]:
     line, line_start = 1, 0
     eof = len(text)
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
+        kind = cast(str, m.lastgroup)  # every alternative is a named group
         start = m.start(kind)
         col = start - line_start + 1
         if kind == "ident":
