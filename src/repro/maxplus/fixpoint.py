@@ -118,10 +118,15 @@ def least_fixpoint(
     if method == "event":
         fanout = system.fanout()
         updates = 0
-        # SPFA-style longest-path propagation with per-node relax counting.
+        # SPFA-style longest-path propagation.  ``hops`` is the arc count of
+        # the walk that set each node's value; a walk of ``n`` arcs repeats
+        # a node, and since every step was a strict improvement the repeated
+        # loop has positive weight.  (Counting updates per node instead
+        # misfires on parallel arcs, which can improve one node more than
+        # ``n`` times from a single source without any cycle.)
         queue = deque(system.nodes)
         queued = set(system.nodes)
-        relaxations = {node: 0 for node in system.nodes}
+        hops = {node: 0 for node in system.nodes}
         while queue:
             src = queue.popleft()
             queued.discard(src)
@@ -133,8 +138,8 @@ def least_fixpoint(
                 if cand > values[dst] + tol:
                     values[dst] = cand
                     updates += 1
-                    relaxations[dst] += 1
-                    if relaxations[dst] > n:
+                    hops[dst] = hops[src] + 1
+                    if hops[dst] >= n:
                         _raise_divergent(system)
                     if dst not in queued:
                         queue.append(dst)

@@ -75,6 +75,23 @@ class TestLeastFixpoint:
         fix = least_fixpoint(negative_loop_system(0.0))
         assert fix.values["b"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("kernel", ["dict", "array"])
+    def test_parallel_arcs_are_not_divergence(self, kernel):
+        # Three parallel arcs improve n0 three times from one source pop,
+        # more than |V| = 2 updates with no positive cycle anywhere.
+        s = MaxPlusSystem(
+            nodes=["n0", "n1"],
+            arcs=[
+                WeightedArc("n1", "n0", -2.0),
+                WeightedArc("n0", "n0", 0.0),
+                WeightedArc("n1", "n0", -1.0),
+                WeightedArc("n1", "n0", 0.0),
+            ],
+            floors={"n1": 3.0},
+        )
+        fix = least_fixpoint(s, method="event", kernel=kernel)
+        assert fix.values == {"n0": 3.0, "n1": 3.0}
+
     def test_frozen_node_not_updated(self):
         s = MaxPlusSystem(
             nodes=["ff", "l"],
