@@ -36,18 +36,12 @@ from dataclasses import replace
 from typing import Sequence
 
 # OpenBLAS starts a worker at `import numpy` that spins on a core, yet no
-# default path calls a BLAS kernel big enough to thread.  Pin the CLI to
-# one thread before numpy loads, unless the caller chose a thread count or
-# the command line can reach the revised simplex, whose basis products
-# and inverses do thread (docs/PERFORMANCE.md): a named revised or
-# cycle+check backend, or `serve`, whose requests name their own.  Pool
-# workers inherit the setting; library users who only `import repro`
-# keep their BLAS as configured.
+# solver runs faster with more BLAS threads (docs/PERFORMANCE.md).
+# Pin the CLI to one thread before numpy loads, unless the caller chose a
+# thread count.  Pool workers inherit the setting; library users who only
+# `import repro` keep their BLAS as configured.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_THREADED_BLAS_ARGS = frozenset({"revised", "cycle+check", "serve"})
-if not any(name in os.environ for name in _BLAS_THREADS) and not any(
-    arg.rpartition("=")[2] in _THREADED_BLAS_ARGS for arg in sys.argv[1:]
-):
+if not any(name in os.environ for name in _BLAS_THREADS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # Only what the default minimize/lint/sweep paths run is imported here;

@@ -80,9 +80,8 @@ class MLPOptions:
     the Tc minimization by parametric critical-cycle search over the
     difference-constraint graph (see :mod:`repro.cycle`) -- no simplex
     tableau -- and certifies both the schedule and the critical cycle's
-    duals against the LP, falling back to the revised (or, above
-    :data:`~repro.lp.backends.AUTO_SPARSE_ROWS` rows, sparse) simplex
-    when it cannot.  Name ``"simplex"`` for the paper's dense tableau.
+    duals against the LP, falling back to the revised simplex when it
+    cannot.  Name ``"simplex"`` for the paper's dense tableau.
     The ``compact`` pass always runs on that graph and only
     falls back to a simplex when it cannot certify its answer (recorded
     in ``extra["compact"]``); disable ``compact`` to take the Tc pass's

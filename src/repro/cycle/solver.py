@@ -67,23 +67,9 @@ TOL = 1e-9
 CERTIFY_TOL = 1e-7
 #: Ratio jumps before the binary-search bracket kicks in.
 BISECT_AFTER = 24
-#: Backend used when the graph relaxation cannot certify the optimum.
-FALLBACK_BACKEND = "revised"
-
-
-def _fallback_backend(program: LinearProgram) -> str:
-    """The simplex that answers for the cycle backend on ``program``.
-
-    The dense revised solver at paper scale (bit-stable against the
-    existing golden results); the sparse revised solver above the
-    dense-materialization threshold, where a dense basis inverse would
-    be an O(m^2) allocation.
-    """
-    from repro.lp.backends import AUTO_SPARSE_ROWS
-
-    if len(program) > AUTO_SPARSE_ROWS:
-        return "sparse"
-    return FALLBACK_BACKEND
+#: The revised simplex that answers when the graph relaxation cannot
+#: certify the optimum, and that ``check=True`` solves as the reference.
+FALLBACK_BACKEND = "sparse"
 
 
 @dataclass(frozen=True)
@@ -819,13 +805,12 @@ def solve_cycle(
         # Graceful fallback: the graph route could not certify an answer.
         from repro.lp.backends import solve as lp_solve
 
-        fallback = _fallback_backend(program)
         with trace.span("cycle_fallback", reason=reason or ""):
-            result = lp_solve(program, backend=fallback)
+            result = lp_solve(program, backend=FALLBACK_BACKEND)
         fallback_info: dict[str, object] = {
             "used": False,
             "reason": reason,
-            "fallback_backend": fallback,
+            "fallback_backend": FALLBACK_BACKEND,
         }
         if period is not None:
             fallback_info["bound"] = period.value
@@ -881,17 +866,16 @@ def _cross_check(
     from repro.lp.backends import solve as lp_solve
 
     info = result.extra.setdefault("cycle", {})
-    reference_backend = _fallback_backend(program)
     if not info.get("used", False):
         # Fallback already *is* the LP answer; nothing to cross-check.
-        info["check"] = {"backend": reference_backend, "delta": 0.0}
+        info["check"] = {"backend": FALLBACK_BACKEND, "delta": 0.0}
         return
-    with trace.span("cycle_check", backend=reference_backend):
-        reference = lp_solve(program, backend=reference_backend)
+    with trace.span("cycle_check", backend=FALLBACK_BACKEND):
+        reference = lp_solve(program, backend=FALLBACK_BACKEND)
     if result.status is not reference.status:
         raise SolverError(
             f"cycle/LP status disagreement: cycle={result.status.value} "
-            f"vs {reference_backend}={reference.status.value}"
+            f"vs {FALLBACK_BACKEND}={reference.status.value}"
         )
     delta = 0.0
     if result.status is LPStatus.OPTIMAL:
@@ -900,11 +884,11 @@ def _cross_check(
         if delta > 1e-9 * scale:
             raise SolverError(
                 f"cycle optimum {result.objective!r} disagrees with "
-                f"{reference_backend} optimum {reference.objective!r} "
+                f"{FALLBACK_BACKEND} optimum {reference.objective!r} "
                 f"(delta {delta:.3g})"
             )
     info["check"] = {
-        "backend": reference_backend,
+        "backend": FALLBACK_BACKEND,
         "objective": reference.objective,
         "delta": delta,
         "pivots": reference.iterations,

@@ -81,7 +81,7 @@ def job_metrics(
 ) -> dict:
     """The flat metrics dict attached to a :class:`~repro.engine.jobspec.JobResult`.
 
-    ``refactorizations`` counts basis-inverse rebuilds inside the revised
+    ``refactorizations`` counts basis refactorizations inside the revised
     simplex backend; ``compact_fallbacks`` counts compact passes the
     graph could not certify, so a simplex answered them.
     """

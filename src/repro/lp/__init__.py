@@ -12,12 +12,11 @@ such programs:
   standard simplex algorithm" of the paper's initial implementation;
 * :mod:`repro.lp.standard_form` -- the shared ``min c'x, Ax = b, x >= 0``
   canonicalization both simplex backends solve;
-* :mod:`repro.lp.revised_simplex` -- a revised simplex that keeps only
-  the basis inverse, the reference the cycle engine falls back to;
 * :mod:`repro.lp.sparse` / :mod:`repro.lp.sparse_lu` /
   :mod:`repro.lp.sparse_simplex` -- CSR/CSC constraint storage, sparse
-  LU + eta-file basis factorization, and the sparse revised simplex
-  built on them: O(nnz) memory, the backend for 10k+ latch designs;
+  LU + eta-file basis factorization, and the revised simplex built on
+  them: O(nnz) memory, the backend for 10k+ latch designs and the one
+  the cycle engine falls back to;
 * :mod:`repro.lp.scipy_backend` -- an optional cross-checking backend on
   top of :func:`scipy.optimize.linprog`;
 * :mod:`repro.lp.sensitivity` -- binding-constraint and shadow-price
@@ -43,8 +42,6 @@ if TYPE_CHECKING:
     from repro.lp.model import Sense as Sense
     from repro.lp.result import LPResult as LPResult
     from repro.lp.result import LPStatus as LPStatus
-    from repro.lp.revised_simplex import RevisedSimplexOptions as RevisedSimplexOptions
-    from repro.lp.revised_simplex import solve_revised_simplex as solve_revised_simplex
     from repro.lp.sensitivity import SensitivityReport as SensitivityReport
     from repro.lp.sensitivity import sensitivity as sensitivity
     from repro.lp.simplex import SimplexOptions as SimplexOptions
@@ -67,11 +64,9 @@ _EXPORTS = {
     "Sense": ".model",
     "LPResult": ".result",
     "LPStatus": ".result",
-    "RevisedSimplexOptions": ".revised_simplex",
     "SimplexOptions": ".simplex",
     "SparseSimplexOptions": ".sparse_simplex",
     "StandardForm": ".standard_form",
-    "solve_revised_simplex": ".revised_simplex",
     "solve_simplex": ".simplex",
     "solve_sparse_simplex": ".sparse_simplex",
     "available_backends": ".backends",

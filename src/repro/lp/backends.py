@@ -5,11 +5,11 @@ they differ in speed and capabilities:
 
 * ``"simplex"`` -- the from-scratch dense tableau solver (the paper's own
   choice);
-* ``"revised"`` -- the revised simplex with an explicit basis inverse;
-* ``"sparse"``  -- the sparse revised simplex (:mod:`repro.lp.sparse_simplex`):
-  pivot-for-pivot the revised solver, but with CSC constraint storage and
-  an LU + eta-file basis factorization -- O(nnz) memory instead of O(m^2),
-  the backend that scales to 10k+ latches;
+* ``"sparse"``  -- the revised simplex (:mod:`repro.lp.sparse_simplex`):
+  CSC constraint storage and an LU + eta-file basis factorization, O(nnz)
+  memory, the backend that scales to 10k+ latches;
+* ``"revised"`` -- a second name for ``"sparse"``, kept so that options,
+  cache keys and signatures that name it keep their meaning;
 * ``"scipy"``   -- :func:`scipy.optimize.linprog` (HiGHS), registered when
   scipy is importable;
 * ``"cycle"``   -- the graph-native parametric critical-cycle solver of
@@ -26,10 +26,10 @@ can thread it unconditionally.
 When the caller names no backend, one routing rule applies: a program
 that comes with a ``context`` (the
 :class:`~repro.core.constraints.SMOProgram` it was built from) is
-answered by ``"cycle"`` (certified primal and duals, with the revised or
-sparse simplex as fallback, also for a context of any other type); a
-program without one goes to the dense ``"simplex"``, or to ``"sparse"`` above :data:`AUTO_SPARSE_ROWS`
-rows.
+answered by ``"cycle"`` (certified primal and duals, with the revised
+simplex as fallback, also for a context of any other type); a program
+without one goes to the dense ``"simplex"``, or to ``"sparse"`` above
+:data:`AUTO_SPARSE_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -86,15 +86,13 @@ def _solve_cycle_check(
     return solve_cycle(program, context=context, check=True)
 
 
+_solve_revised = _deferred("repro.lp.sparse_simplex", "solve_sparse_simplex")
+
 #: name -> (solver, accepts_context)
 _BACKENDS: dict[str, tuple[Callable[..., LPResult], bool]] = {
     "simplex": (_deferred("repro.lp.simplex", "solve_simplex"), False),
-    "revised": (
-        _deferred("repro.lp.revised_simplex", "solve_revised_simplex"), False
-    ),
-    "sparse": (
-        _deferred("repro.lp.sparse_simplex", "solve_sparse_simplex"), False
-    ),
+    "revised": (_solve_revised, False),
+    "sparse": (_solve_revised, False),
     "cycle": (_solve_cycle, True),
     "cycle+check": (_solve_cycle_check, True),
 }

@@ -1,8 +1,10 @@
-"""A sparse revised primal simplex: O(nnz) memory, LU + eta-file basis.
+"""The revised primal simplex: O(nnz) memory, LU + eta-file basis.
 
-Pivot-for-pivot this is :mod:`repro.lp.revised_simplex` -- same two-phase
-structure, same Dantzig/Bland pricing, same ratio test and tie-breaks --
-but nothing dense is ever formed:
+This is the package's one revised simplex, registered under both
+``"sparse"`` and ``"revised"``.  It is a two-phase method with Dantzig
+pricing, a switch to Bland's rule after a run of degenerate pivots, and a
+ratio test that breaks ties on the smallest basis index.  Nothing dense
+is ever formed:
 
 * the constraint matrix is read straight from
   :attr:`~repro.lp.standard_form.StandardForm.a_csc` (CSC, O(nnz));
@@ -16,7 +18,7 @@ but nothing dense is ever formed:
 
 Peak memory is O(nnz + fill), which for the paper's exclusively
 topological matrices (a few +/-1 entries per row) stays linear in latch
-count; the dense solvers' O(m^2) basis inverse is what capped
+count; a dense O(m^2) basis inverse is what once capped
 ``bench_scaling`` at ~1k latches.
 """
 
@@ -202,13 +204,10 @@ def solve_sparse_simplex(
     program: LinearProgram,
     options: SparseSimplexOptions | None = None,
 ) -> LPResult:
-    """Solve a :class:`LinearProgram` with the sparse revised simplex.
+    """Solve a :class:`LinearProgram` with the revised simplex.
 
-    Semantically identical to
-    :func:`~repro.lp.revised_simplex.solve_revised_simplex` (same pivot
-    rules and result shape) but with O(nnz) peak memory.  The result's
-    ``extra`` dict carries the same keys (``"refactorizations"``,
-    ``"phase1_pivots"``) plus ``"factorization"`` -- the LU engine used
+    The result's ``extra`` dict carries ``"refactorizations"``,
+    ``"phase1_pivots"`` and ``"factorization"`` -- the LU engine used
     (``"scipy"`` or ``"python"``).
     """
     start = time.perf_counter()

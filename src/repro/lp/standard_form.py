@@ -1,8 +1,7 @@
 """Conversion of a :class:`LinearProgram` to simplex standard form.
 
-All three simplex backends (the dense tableau solver in
-:mod:`repro.lp.simplex`, the revised solver in
-:mod:`repro.lp.revised_simplex` and the sparse revised solver in
+Both simplex backends (the dense tableau solver in
+:mod:`repro.lp.simplex` and the revised solver in
 :mod:`repro.lp.sparse_simplex`) operate on the same canonical shape::
 
     min c'x   s.t.   Ax = b,  b >= 0,  x >= 0
@@ -14,7 +13,7 @@ recovery).
 
 The matrix is assembled *sparsely* -- straight from the program's CSR
 storage into a CSC layout (:attr:`StandardForm.a_csc`), O(nnz) work and
-memory.  The dense ``(m, n_struct)`` array the legacy solvers index is a
+memory.  The dense ``(m, n_struct)`` array the tableau solver indexes is a
 lazy cached property (:attr:`StandardForm.a`); materializing it above
 2000 rows is counted and reported by :mod:`repro.lp.sparse` so accidental
 densification of a large program is visible.
@@ -136,8 +135,8 @@ class StandardForm:
     def a(self) -> np.ndarray:
         """The dense ``(m, n_struct)`` matrix, materialized on first use.
 
-        The tableau and dense-revised solvers index this freely; the
-        sparse solver never touches it.  Above 2000 rows the
+        The tableau solver indexes this freely; the revised solver never
+        touches it.  Above 2000 rows the
         materialization is counted in
         :data:`repro.lp.sparse.DENSE_STATS` and surfaced as an event +
         metric (the dense-fallback footgun made visible).

@@ -165,7 +165,7 @@ class TestPaperDesigns:
         )
         info = result.lp_result.extra["cycle"]
         assert info["used"] is True
-        assert info["check"]["backend"] == "revised"
+        assert info["check"]["backend"] == "sparse"
         assert abs(info["check"]["delta"]) <= 1e-9 * max(
             1.0, abs(info["check"]["objective"])
         )

@@ -78,7 +78,7 @@ class TestPaperDesigns:
     def test_check_mode_cross_checks_and_sanitizes(self, name, factory):
         res = _tc(factory(), "cycle+check")
         check = res.extra["cycle"]["check"]
-        assert check["backend"] == "revised"
+        assert check["backend"] == "sparse"
         assert abs(check["delta"]) <= 1e-9 * max(1.0, abs(res.period))
         # cycle+check forces the sanitizer even when not requested.
         assert res.extra["sanitize"].ok
@@ -127,7 +127,7 @@ class TestFallback:
         info = res.extra["cycle"]
         assert info["used"] is False
         assert "under-constrains" in info["reason"]
-        assert info["fallback_backend"] == "revised"
+        assert info["fallback_backend"] == "sparse"
         # The uncertified graph bound is still a valid lower bound.
         ref = solve(smo.program, backend="revised")
         assert res.objective == pytest.approx(ref.objective, abs=1e-9)

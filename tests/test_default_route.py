@@ -107,9 +107,12 @@ class TestRouting:
 
     def test_named_backends_are_honoured(self, ex1):
         smo = build_program(ex1, ConstraintOptions())
-        for name in ("simplex", "revised", "sparse"):
+        # "revised" is a second name for the sparse revised simplex.
+        for name, answers in (
+            ("simplex", "simplex"), ("revised", "sparse"), ("sparse", "sparse")
+        ):
             result = solve(smo.program, backend=name, context=smo)
-            assert result.backend == name
+            assert result.backend == answers
             assert result.objective == pytest.approx(110.0)
 
     def test_signature_keeps_the_unnamed_backend(self):

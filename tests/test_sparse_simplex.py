@@ -1,4 +1,4 @@
-"""Sparse revised simplex: LU engines, eta updates, and backend parity.
+"""The revised simplex: LU engines, eta updates, and backend agreement.
 
 Three layers of coverage:
 
@@ -8,11 +8,12 @@ Three layers of coverage:
   pivot sequences with periodic refactorization;
 * the solver -- :func:`solve_sparse_simplex` on the classic small cases
   (bounded / infeasible / unbounded / equality + free variables / duals)
-  and on random LPs, always checked against the dense revised simplex;
+  and on random LPs, always checked against the dense tableau
+  ``simplex`` (and scipy when it is installed);
 * the pipeline -- a hypothesis property test pushing random multiloop
-  circuits and the structured generator families through *all four*
-  backends (``simplex``, ``revised``, ``sparse``, ``cycle``) demanding
-  one optimum and one sanitized schedule.
+  circuits and the structured generator families through every backend
+  (``simplex``, ``sparse``, ``cycle``, and ``scipy`` when installed)
+  demanding one optimum and one sanitized schedule.
 """
 
 import random
@@ -24,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit.generate import random_multiloop_circuit
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.designs.generators import banked_array, pipeline
+from repro.lp.backends import available_backends, solve
 from repro.lp.expr import var
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPStatus
-from repro.lp.revised_simplex import solve_revised_simplex
+from repro.lp.simplex import solve_simplex
 from repro.lp.sparse import DENSE_STATS, csc_from_triplets
 from repro.lp.sparse_lu import (
     HAVE_SCIPY,
@@ -38,6 +40,7 @@ from repro.lp.sparse_lu import (
 from repro.lp.sparse_simplex import SparseSimplexOptions, solve_sparse_simplex
 
 ENGINES = ["python"] + (["scipy"] if HAVE_SCIPY else [])
+HAVE_SCIPY_BACKEND = "scipy" in available_backends()
 
 
 def _random_sparse_csc(m: int, seed: int, density: float = 0.3):
@@ -187,10 +190,10 @@ class TestSparseSolverBasics:
         lp.add_le(x + 2 * y, 6, name="a")
         lp.add_le(2 * x + y, 6, name="b")
         sparse = solve_sparse_simplex(lp)
-        revised = solve_revised_simplex(lp)
-        assert sparse.objective == pytest.approx(revised.objective)
+        dense = solve_simplex(lp)
+        assert sparse.objective == pytest.approx(dense.objective)
         for name in ("a", "b"):
-            assert sparse.duals[name] == pytest.approx(revised.duals[name])
+            assert sparse.duals[name] == pytest.approx(dense.duals[name])
 
     def test_empty_program(self):
         lp = LinearProgram()
@@ -253,18 +256,34 @@ def _random_feasible_lp(seed: int) -> LinearProgram:
     return lp
 
 
+def _assert_agrees_with_dense(seeds, options):
+    for seed in seeds:
+        lp = _random_feasible_lp(seed)
+        dense = solve_simplex(lp)
+        sparse = solve_sparse_simplex(lp, options)
+        assert dense.status is LPStatus.OPTIMAL, seed
+        assert sparse.status is dense.status, seed
+        assert sparse.objective == pytest.approx(dense.objective, abs=1e-7), seed
+        for name, value in dense.duals.items():
+            assert sparse.duals[name] == pytest.approx(value, abs=1e-8), seed
+        if HAVE_SCIPY_BACKEND:
+            highs = solve(lp, backend="scipy")
+            assert sparse.objective == pytest.approx(highs.objective, abs=1e-7), seed
+
+
 class TestAgainstRevised:
+    """The revised simplex against the paper's dense tableau (and HiGHS)."""
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_fifty_random_lps_agree(self, engine):
-        options = SparseSimplexOptions(factorization=engine)
-        for seed in range(50):
-            lp = _random_feasible_lp(seed)
-            revised = solve_revised_simplex(lp)
-            sparse = solve_sparse_simplex(lp, options)
-            assert sparse.status is revised.status, seed
-            assert sparse.objective == pytest.approx(revised.objective), seed
-            for name, value in revised.duals.items():
-                assert sparse.duals[name] == pytest.approx(value, abs=1e-8), seed
+        _assert_agrees_with_dense(
+            range(50), SparseSimplexOptions(factorization=engine)
+        )
+
+    def test_random_lps_agree_without_scipy(self):
+        _assert_agrees_with_dense(
+            range(50, 70), SparseSimplexOptions(factorization="python")
+        )
 
 
 def _schedule_tuple(result):
@@ -274,7 +293,9 @@ def _schedule_tuple(result):
     ]
 
 
-AGREEMENT_BACKENDS = ["simplex", "revised", "sparse", "cycle"]
+AGREEMENT_BACKENDS = ["simplex", "sparse", "cycle"] + (
+    ["scipy"] if HAVE_SCIPY_BACKEND else []
+)
 
 
 class TestFourBackendAgreement:
@@ -307,19 +328,17 @@ class TestFourBackendAgreement:
             results[backend] = minimize_cycle_time(
                 circuit, mlp=MLPOptions(backend=backend, sanitize=True)
             )
-        reference = results["revised"]
+        reference = results["simplex"]
         ref_schedule = _schedule_tuple(reference)
         for backend, result in results.items():
             assert result.period == pytest.approx(
                 reference.period, abs=1e-9
             ), backend
             assert result.extra["sanitize"].ok, backend
-        # The revised family (revised / sparse / cycle) shares one
-        # canonical tie-break pass, so the reported schedules must be
-        # *identical*, not merely equally optimal.  The dense tableau
-        # simplex may legitimately settle on an alternate optimum.
-        for backend in ("sparse", "cycle"):
-            assert _schedule_tuple(results[backend]) == ref_schedule, backend
+            # Every backend shares one canonical tie-break pass on the
+            # graph, so the reported schedules must be *identical*, not
+            # merely equally optimal.
+            assert _schedule_tuple(result) == ref_schedule, backend
 
 
 class TestDenseObservability:

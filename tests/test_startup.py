@@ -5,8 +5,7 @@ touch scipy, networkx, the netlist substrate, the simulator, the
 baselines, the exporters, the SVG renderer, the simplex solvers or the
 rarer analyses, so importing the CLI must not load them either -- and
 they stay unloaded while those commands run.  A CLI process also runs
-one BLAS thread unless its caller chose a thread count or its command
-line can reach the revised simplex.
+one BLAS thread unless its caller chose a thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ DEFERRED = (
     "repro.export",
     "repro.render.svg",
     "repro.lp.simplex",
-    "repro.lp.revised_simplex",
     "repro.lp.sparse_simplex",
     "repro.lp.sparse_lu",
     "repro.lp.scipy_backend",
@@ -61,7 +59,7 @@ DEFERRED = (
 #: The solver module each named simplex backend loads on first use.
 SOLVER_MODULES = {
     "simplex": "repro.lp.simplex",
-    "revised": "repro.lp.revised_simplex",
+    "revised": "repro.lp.sparse_simplex",
     "sparse": "repro.lp.sparse_simplex",
     "scipy": "repro.lp.scipy_backend",
 }
@@ -351,8 +349,23 @@ class TestScipyOnFirstUse:
 )
 class TestOneBlasThread:
     def test_cli_process_runs_one_thread(self):
-        statement = "import os, repro.cli; print(len(os.listdir('/proc/self/task')))"
-        assert _child(statement, _env()) == "1"
+        # Every command line pins, including the ones that name the
+        # revised simplex or start a server whose requests name their own.
+        for argv in (
+            [],
+            ["minimize", EXAMPLE1, "--backend", "revised"],
+            ["minimize", EXAMPLE1, "--backend=revised"],
+            ["batch", "designs.txt", "--backend", "cycle+check"],
+            ["serve", "--port", "0"],
+        ):
+            statement = (
+                "import os, sys\n"
+                f"sys.argv = ['repro', *{argv!r}]\n"
+                "import repro.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+                " len(os.listdir('/proc/self/task')))"
+            )
+            assert _child(statement, _env()) == "1 1", argv
 
     @pytest.mark.parametrize(
         "name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS"]
@@ -364,32 +377,6 @@ class TestOneBlasThread:
         )
         expected = {k: ("2" if k == name else None) for k in BLAS_THREADS}
         assert _child(statement, _env(**{name: "2"})) == str(expected)
-
-    @pytest.mark.parametrize(
-        "argv, threads",
-        [
-            (["minimize", EXAMPLE1], "1"),
-            (["minimize", EXAMPLE1, "--backend", "sparse"], "1"),
-            (["minimize", EXAMPLE1, "--backend", "simplex"], "1"),
-            (["minimize", EXAMPLE1, "--backend", "revised"], None),
-            (["minimize", EXAMPLE1, "--backend=revised"], None),
-            (["batch", "designs.txt", "--backend", "cycle+check"], None),
-            (["serve", "--port", "0"], None),
-        ],
-        ids=[
-            "default", "sparse", "simplex", "revised", "revised=", "cycle+check",
-            "serve",
-        ],
-    )
-    def test_revised_simplex_commands_keep_the_default_threads(self, argv, threads):
-        # The revised simplex threads its basis products and inverses.
-        statement = (
-            "import os, sys\n"
-            f"sys.argv = ['repro', *{argv!r}]\n"
-            "import repro.cli\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-        )
-        assert _child(statement, _env()) == str(threads)
 
     def test_library_import_leaves_the_environment_alone(self):
         statement = (
