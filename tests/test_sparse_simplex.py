@@ -280,11 +280,6 @@ class TestAgainstRevised:
             range(50), SparseSimplexOptions(factorization=engine)
         )
 
-    def test_random_lps_agree_without_scipy(self):
-        _assert_agrees_with_dense(
-            range(50, 70), SparseSimplexOptions(factorization="python")
-        )
-
 
 def _schedule_tuple(result):
     sched = result.schedule
