@@ -4,7 +4,8 @@ The paper argues the number of LP constraints is bounded by
 ``4k + (F + 1) l`` -- linear in the number of latches -- and reports
 seconds-scale runtimes for the 91-constraint GaAs model on a DECStation
 3100.  This benchmark sweeps the circuit size, asserts the linear
-constraint growth, and times MLP end to end.
+constraint growth, and times MLP end to end.  A last row times a
+divergent ``analyze`` and re-checks the latch loop it names.
 
 The per-backend columns are driven from the LP backend registry
 (:func:`repro.lp.backends.available_backends`), so a newly registered
@@ -20,6 +21,7 @@ import time
 import pytest
 
 from repro.circuit.generate import random_multiloop_circuit
+from repro.core.analysis import analyze
 from repro.core.constraints import build_maxplus_system, build_program
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.core.reporting import format_comparison
@@ -221,5 +223,56 @@ def test_sparse_scaling_grid(benchmark, emit):
                 "cycle s",
             ],
             "Sparse LP vs critical cycle on generator families",
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Divergent analysis: at 0.8x the optimal schedule a latch loop of the
+# banked array has positive max-plus weight, so the least fixpoint does
+# not exist.  The event worklist detects that, and the cycle engine's
+# vectorized Bellman-Ford names the loop.  QUICK runs the 2,562-latch
+# array, the full run the 10,242-latch one.
+# ---------------------------------------------------------------------------
+
+DIVERGENT_ARRAY = (80, 32) if QUICK else (80, 128)
+
+
+def measure_divergent():
+    banks, depth = DIVERGENT_ARRAY
+    circuit = banked_array(banks, depth)
+    schedule = minimize_cycle_time(circuit).schedule.scaled(0.8)
+    t0 = time.perf_counter()
+    report = analyze(circuit, schedule)
+    seconds = time.perf_counter() - t0
+    # Re-sum the named loop: "... dependency cycle A -> B -> A; ..."
+    path = report.divergent_cycle.split("dependency cycle ")[1].split(";")[0]
+    names = path.split(" -> ")
+    heaviest = {}
+    for arc in build_maxplus_system(circuit, schedule).arcs:
+        pair = (arc.src, arc.dst)
+        heaviest[pair] = max(heaviest.get(pair, arc.weight), arc.weight)
+    return {
+        "design": f"banked {banks}x{depth}",
+        "latches": len(circuit.latches),
+        "feasible": report.feasible,
+        "cycle arcs": len(names) - 1,
+        "cycle weight": sum(heaviest[p] for p in zip(names, names[1:])),
+        "seconds": round(seconds, 3),
+    }
+
+
+def test_divergent_analyze(benchmark, emit):
+    row = benchmark.pedantic(measure_divergent, rounds=1, iterations=1)
+
+    assert row["feasible"] is False
+    assert row["cycle weight"] > 0, row
+
+    emit(
+        "scaling_divergent",
+        format_comparison(
+            [row],
+            ["design", "latches", "cycle arcs", "cycle weight", "seconds"],
+            "Divergent analyze at 0.8x the optimal schedule",
         ),
     )

@@ -107,6 +107,15 @@ def _backend_help() -> str:
     )
 
 
+def _add_kernel(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kernel", default="auto",
+                        choices=("dict", "array", "auto"),
+                        help="fixpoint kernel for the departure slide's "
+                        "Jacobi/Gauss-Seidel sweeps; every choice gives the "
+                        "same result, and the event worklist always runs "
+                        "on dicts (default auto)")
+
+
 def _add_common_constraints(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-width", type=float, default=0.0, dest="min_width",
                         help="minimum active width for every phase")
@@ -646,10 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="find the optimal cycle time (MLP)")
     p.add_argument("file", help=".lcd circuit description")
     p.add_argument("--backend", default=None, help=_backend_help())
-    p.add_argument("--kernel", default="auto",
-                   choices=("dict", "array", "auto"),
-                   help="fixpoint kernel for the departure slide "
-                   "(default auto)")
+    _add_kernel(p)
     p.add_argument("--max-period", type=float, default=None, dest="max_period")
     p.add_argument("--nrip", action="store_true", help="run the NRIP baseline")
     p.add_argument("--initial-phase", default=None, dest="initial_phase",
@@ -752,10 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for grid evaluation (default 1)")
     p.add_argument("--backend", default=None, help=_backend_help())
-    p.add_argument("--kernel", default="auto",
-                   choices=("dict", "array", "auto"),
-                   help="fixpoint kernel for the departure slide "
-                   "(default auto)")
+    _add_kernel(p)
     _add_common_constraints(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -794,10 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=int, default=1,
                    help="extra attempts after a worker crash/timeout")
     p.add_argument("--backend", default=None, help=_backend_help())
-    p.add_argument("--kernel", default="auto",
-                   choices=("dict", "array", "auto"),
-                   help="fixpoint kernel for the departure slide "
-                   "(default auto)")
+    _add_kernel(p)
     _add_common_constraints(p)
     p.set_defaults(func=cmd_batch)
 

@@ -58,13 +58,14 @@ class MLPOptions:
     time is unaffected.
 
     ``kernel`` selects the execution engine for the slide (step 3-5
-    fixpoint iteration): ``"dict"`` runs the reference implementation over
-    Python dicts, ``"array"`` the compiled numpy kernels of
+    fixpoint iteration) under the Jacobi and Gauss-Seidel methods:
+    ``"dict"`` runs the reference implementation over Python dicts,
+    ``"array"`` the compiled numpy kernels of
     :mod:`repro.maxplus.compiled`, and ``"auto"`` (the default) picks the
-    array kernels on circuits large enough for the lowering to pay off --
-    restricted to method/size combinations whose array kernel is
-    bit-identical to the dict kernel, so the choice never changes a
-    reported schedule or period.
+    array kernels on circuits large enough for the lowering to pay off.
+    The array kernels are bit-identical to the dict kernels, so the choice
+    never changes a reported schedule or period.  The event worklist
+    always runs on dicts.
 
     ``sanitize`` runs the :mod:`repro.lint.sanitize` a-posteriori checker
     on the finished result: every explicit SMO row, the implicit C4/L3

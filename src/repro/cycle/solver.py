@@ -56,6 +56,7 @@ from repro.cycle.graph import (
 from repro.errors import SolverError
 from repro.lp.model import LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus, attach_slacks
+from repro.maxplus.compiled import find_negative_cycle
 from repro.obs import metrics, trace
 
 _I64 = npt.NDArray[np.int64]
@@ -105,42 +106,6 @@ class CyclePeriod:
     message: str = ""
 
 
-def _predecessor_cycle(
-    pred: _I64, in_tail: _I64, n: int
-) -> tuple[int, ...] | None:
-    """A cycle in the predecessor graph, as head-sorted edge slots.
-
-    Classic Bellman-Ford fact: whenever the predecessor pointers contain
-    a cycle (at any point during relaxation), that cycle has negative
-    weight.  Detection is vectorized by pointer doubling over the
-    successor map ``v -> tail(pred[v])`` with an absorbing terminal for
-    rootless nodes; extraction then walks ``n`` predecessor hops from any
-    surviving node, which is guaranteed to land on the cycle.
-    """
-    succ = np.where(pred >= 0, in_tail[np.maximum(pred, 0)], n)
-    chain = np.append(succ, n).astype(np.int64)
-    hops = 1
-    while hops < n:
-        chain = chain[chain]
-        hops *= 2
-    live = np.flatnonzero(chain[:n] != n)
-    if live.size == 0:
-        return None
-    node = int(live[0])
-    for _ in range(n):
-        node = int(in_tail[pred[node]])
-    start = node
-    slots: list[int] = []
-    while True:
-        slot = int(pred[node])
-        slots.append(slot)
-        node = int(in_tail[slot])
-        if node == start:
-            break
-    slots.reverse()
-    return tuple(slots)
-
-
 def _bellman_ford(
     comp: CompiledCycleGraph,
     t: float,
@@ -154,52 +119,30 @@ def _bellman_ford(
     what schedule recovery needs.  With a ``source`` node, distances
     start at ``+inf`` except 0 there, so the result is the greatest
     solution with that node at 0 (``inf`` where nothing bounds a node).
-    One round is two ``minimum.reduceat`` sweeps over the head-sorted
-    edges; a predecessor-graph cycle check runs periodically so
-    infeasible periods are detected long before the |V|-round worst
-    case.  A negative cycle is rotated to start at its lowest original
-    edge index, so its listing does not depend on where the predecessor
-    walk entered it.
+    The relaxation is :func:`repro.maxplus.compiled.find_negative_cycle`
+    on the weights ``a + b*t``; a negative cycle comes back as original
+    edge indices, lowest first.
     """
     st = comp.structure
     n = st.n_nodes
-    m = st.n_edges
     if source is None:
         dist = np.zeros(n)
     else:
         dist = np.full(n, np.inf)
         dist[source] = 0.0
-    if m == 0:
-        return _BFOutcome(True, dist, (), 0)
-    w = comp.a_in + st.b_in * t
-    pred = np.full(n, -1, dtype=np.int64)
-    slots = np.arange(m, dtype=np.int64)
-    eps = tol * max(1.0, abs(t))
-    check_every = 32
-    max_rounds = 3 * n + 2
-    for rounds in range(1, max_rounds + 1):
-        cand = dist[st.in_tail] + w
-        seg_min = np.minimum.reduceat(cand, st.red_starts)
-        improved = seg_min < dist[st.red_heads] - eps
-        if not improved.any():
-            return _BFOutcome(True, dist, (), rounds)
-        seg_full = np.repeat(seg_min, st.red_counts)
-        seg_argmin = np.minimum.reduceat(
-            np.where(cand <= seg_full, slots, m), st.red_starts
-        )
-        heads = st.red_heads[improved]
-        dist[heads] = seg_min[improved]
-        pred[heads] = seg_argmin[improved]
-        if rounds % check_every == 0 or rounds >= n:
-            cycle_slots = _predecessor_cycle(pred, st.in_tail, n)
-            if cycle_slots is not None:
-                cycle = [int(st.order[s]) for s in cycle_slots]
-                first = cycle.index(min(cycle))
-                canonical = tuple(cycle[first:] + cycle[:first])
-                return _BFOutcome(False, None, canonical, rounds)
-    raise SolverError(  # pragma: no cover - relaxation must settle by 3|V|
-        f"Bellman-Ford did not settle within {max_rounds} rounds at t={t!r}"
+    cycle, rounds = find_negative_cycle(
+        st.in_tail,
+        st.red_heads,
+        st.red_starts,
+        st.red_counts,
+        st.order,
+        comp.a_in + st.b_in * t,
+        dist,
+        tol * max(1.0, abs(t)),
     )
+    if cycle:
+        return _BFOutcome(False, None, cycle, rounds)
+    return _BFOutcome(True, dist, (), rounds)
 
 
 def _cycle_totals(

@@ -22,8 +22,7 @@ if TYPE_CHECKING:
     from repro.maxplus.compiled import compile_system as compile_system
     from repro.maxplus.compiled import least_fixpoint_arrays as least_fixpoint_arrays
     from repro.maxplus.compiled import slide_arrays as slide_arrays
-    from repro.maxplus.cycles import find_positive_cycle as find_positive_cycle
-    from repro.maxplus.cycles import max_cycle_weight as max_cycle_weight
+    from repro.maxplus.compiled import find_positive_cycle as find_positive_cycle
     from repro.maxplus.fixpoint import FixpointResult as FixpointResult
     from repro.maxplus.fixpoint import least_fixpoint as least_fixpoint
     from repro.maxplus.fixpoint import slide as slide
@@ -41,8 +40,7 @@ _EXPORTS = {
     "least_fixpoint_arrays": ".compiled",
     "slide": ".fixpoint",
     "slide_arrays": ".compiled",
-    "find_positive_cycle": ".cycles",
-    "max_cycle_weight": ".cycles",
+    "find_positive_cycle": ".compiled",
 }
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 __all__ = list(_EXPORTS)

@@ -12,7 +12,8 @@ same iterations as whole-array operations:
   node's propagation candidate per sweep;
 * a floor vector and a frozen mask instead of dict/set membership tests.
 
-Three kernels mirror the three iteration methods:
+Two kernels mirror the two sweep methods; the event worklist stays on
+dicts:
 
 * **jacobi** -- one vectorized sweep per iteration, bit-identical to the
   dict listing (same update schedule, same float operations, same sweep
@@ -23,10 +24,12 @@ Three kernels mirror the three iteration methods:
   itself, the result is bit-identical to the sequential dict sweep.
   (On pure latch rings every run has length 1 and the dict kernel is
   already optimal; blocking pays off on graphs with parallel stages.)
-* **event** -- an array worklist: a frontier mask replaces the deque,
-  and each round relaxes every arc leaving the frontier at once.  Final
-  values agree with the dict worklist to within the update tolerance;
-  ``iterations`` still counts individual node updates.
+
+The module also holds the code base's one negative-cycle search,
+:func:`find_negative_cycle`: a vectorized Bellman-Ford over head-sorted
+CSR arrays.  :mod:`repro.cycle.solver` runs it on the difference graph
+at each candidate period, and :func:`find_positive_cycle` on the
+negated fanin weights to name a divergent fixpoint's latch loop.
 
 The lowered structure is cached per :attr:`MaxPlusSystem.structure_key`: successive
 points of a delay sweep share every index array and re-cost only the
@@ -43,11 +46,17 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.maxplus.fixpoint import FixpointResult, _raise_divergent, _record_slide
+from repro.errors import SolverError
+from repro.maxplus.fixpoint import (
+    FixpointResult,
+    _fallback_to_least,
+    _raise_divergent,
+    _record_slide,
+    least_fixpoint,
+    slide,
+)
 from repro.maxplus.system import MaxPlusSystem
 from repro.obs import metrics, trace
-
-_NEG_INF = float("-inf")
 
 #: node count at or above which ``kernel="auto"`` switches to arrays.
 AUTO_ARRAY_MIN_NODES = 64
@@ -289,15 +298,14 @@ def least_fixpoint_arrays(
     """Array implementation of :func:`repro.maxplus.fixpoint.least_fixpoint`.
 
     Jacobi and Gauss-Seidel reproduce the dict kernels bit for bit
-    (values *and* sweep counts); the event kernel agrees on values to
-    within ``tol`` and counts node updates under its round-based order.
+    (values *and* sweep counts).  The event worklist has no array form:
+    ``method="event"`` runs the dict kernel.
     """
+    if method == "event":
+        return least_fixpoint(system, method=method, tol=tol)
     comp = compile_system(system)
     st = comp.structure
     n = st.n
-
-    if method == "event":
-        return _least_event(system, comp, tol)
 
     values = comp.floors.copy()
     for sweep in range(n + 1):
@@ -330,42 +338,6 @@ def least_fixpoint_arrays(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _least_event(
-    system: MaxPlusSystem, comp: CompiledMaxPlus, tol: float
-) -> FixpointResult:
-    st = comp.structure
-    n = st.n
-    values = comp.floors.copy()
-    relax = np.zeros(n, dtype=np.int64)
-    frontier = np.ones(n, dtype=bool)
-    updates = 0
-    while frontier.any():
-        upd = np.zeros(n, dtype=bool)
-        if st.m:
-            on = frontier[st.in_src]
-            cand = np.where(
-                on, values[st.in_src] + comp.in_weight, _NEG_INF
-            )
-            seg = np.maximum.reduceat(cand, st.red_starts)
-            better = st.active_mask[st.red_nodes] & (
-                seg > values[st.red_nodes] + tol
-            )
-            targets = st.red_nodes[better]
-            upd[targets] = True
-            values[targets] = seg[better]
-        count = int(upd.sum())
-        if not count:
-            break
-        updates += count
-        relax[upd] += 1
-        if (relax[upd] > n).any():
-            _raise_divergent(system)
-        frontier = upd
-    return FixpointResult(
-        values=_as_dict(st, values), iterations=updates, method="event"
-    )
-
-
 # ----------------------------------------------------------------------
 # slide kernels
 # ----------------------------------------------------------------------
@@ -379,10 +351,15 @@ def slide_arrays(
     """Array implementation of :func:`repro.maxplus.fixpoint.slide`.
 
     Same contract as the dict kernel, including the exact least-fixpoint
-    fallback when the sweep cap is hit.  Jacobi and Gauss-Seidel are
-    bit-identical to their dict counterparts; the event kernel agrees on
-    values to within ``tol``.
+    fallback when the sweep cap is hit (the dict worklist computes it, so
+    the fallback is bit-identical too).  Jacobi and Gauss-Seidel are
+    bit-identical to their dict counterparts; ``method="event"`` runs
+    the dict kernel.
     """
+    if method == "event":
+        return slide(
+            system, start, method=method, tol=tol, max_sweeps=max_sweeps
+        )
     comp = compile_system(system)
     st = comp.structure
     n = st.n
@@ -390,9 +367,6 @@ def slide_arrays(
         max_sweeps = max(10 * n, 100)
     values = _start_vector(comp, start)
     traced = trace.is_enabled()
-
-    if method == "event":
-        return _slide_event(system, comp, values, tol, max_sweeps, traced)
 
     residual = 0.0
     residuals: list[float] = [] if traced else None  # type: ignore[assignment]
@@ -430,63 +404,131 @@ def slide_arrays(
                 method=method,
                 residual=residual,
             )
-    return _fallback_to_least_arrays(system, method)
+    return _fallback_to_least(system, method)
 
 
-def _slide_event(
-    system: MaxPlusSystem,
-    comp: CompiledMaxPlus,
-    values: np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    traced: bool,
-) -> FixpointResult:
-    st = comp.structure
-    n = st.n
-    budget = max_sweeps * max(n, 1)
-    frontier = np.ones(n, dtype=bool)
-    updates = 0
-    residual = 0.0
-    while frontier.any():
-        if updates > budget:
-            return _fallback_to_least_arrays(system, "event")
-        # Recompute the full candidate for every frontier node (the dict
-        # worklist scans a popped node's whole fanin the same way).
-        best = _sweep_best(comp, values)
-        delta = values - best
-        upd = frontier & st.active_mask & (delta > tol)
-        count = int(upd.sum())
-        if not count:
+# ----------------------------------------------------------------------
+# Negative-cycle search (shared with repro.cycle.solver)
+# ----------------------------------------------------------------------
+def _predecessor_cycle(
+    pred: np.ndarray, in_tail: np.ndarray, n: int
+) -> tuple[int, ...] | None:
+    """A cycle in the predecessor graph, as head-sorted edge slots.
+
+    Classic Bellman-Ford fact: whenever the predecessor pointers contain
+    a cycle (at any point during relaxation), that cycle has negative
+    weight.  Detection is vectorized by pointer doubling over the
+    successor map ``v -> tail(pred[v])`` with an absorbing terminal for
+    rootless nodes; extraction then walks ``n`` predecessor hops from any
+    surviving node, which is guaranteed to land on the cycle.
+    """
+    succ = np.where(pred >= 0, in_tail[np.maximum(pred, 0)], n)
+    chain = np.append(succ, n).astype(np.int64)
+    hops = 1
+    while hops < n:
+        chain = chain[chain]
+        hops *= 2
+    live = np.flatnonzero(chain[:n] != n)
+    if live.size == 0:
+        return None
+    node = int(live[0])
+    for _ in range(n):
+        node = int(in_tail[pred[node]])
+    start = node
+    slots: list[int] = []
+    while True:
+        slot = int(pred[node])
+        slots.append(slot)
+        node = int(in_tail[slot])
+        if node == start:
             break
-        residual = float(delta[upd].max())
-        values[upd] = best[upd]
-        updates += count
-        if traced:
-            trace.add_event(
-                "slide.round", nodes=count, delta=residual, updates=updates
-            )
-        frontier = np.zeros(n, dtype=bool)
-        if st.m:
-            hot = upd[st.in_src]
-            frontier[st.in_dst[hot]] = True
-    _record_slide(traced, updates, residual, None)
-    return FixpointResult(
-        values=_as_dict(st, values),
-        iterations=updates,
-        method="event",
-        residual=residual,
+    slots.reverse()
+    return tuple(slots)
+
+
+def find_negative_cycle(
+    in_tail: np.ndarray,
+    red_heads: np.ndarray,
+    red_starts: np.ndarray,
+    red_counts: np.ndarray,
+    order: np.ndarray,
+    w: np.ndarray,
+    dist: np.ndarray,
+    eps: float,
+) -> tuple[tuple[int, ...], int]:
+    """Vectorized Bellman-Ford over head-sorted CSR edge arrays.
+
+    ``in_tail[s]`` and ``w[s]`` are the tail and weight of slot ``s``;
+    ``red_heads``/``red_starts``/``red_counts`` delimit the slots of each
+    head with incoming edges, and ``order[s]`` is the slot's original
+    edge index.  ``dist`` is relaxed in place (an edge improves its head
+    only by more than ``eps``).  One round is two ``minimum.reduceat``
+    sweeps; a predecessor-graph cycle check runs periodically, so a
+    negative cycle is found long before the |V|-round worst case.
+
+    Returns ``(cycle, rounds)``: ``cycle`` is empty when ``dist``
+    settled, and otherwise lists a negative cycle's original edge
+    indices in path order, rotated to start at the lowest, so the
+    listing does not depend on where the predecessor walk entered it.
+    """
+    n = dist.size
+    m = in_tail.size
+    if m == 0:
+        return (), 0
+    pred = np.full(n, -1, dtype=np.int64)
+    slots = np.arange(m, dtype=np.int64)
+    check_every = 32
+    max_rounds = 3 * n + 2
+    for rounds in range(1, max_rounds + 1):
+        cand = dist[in_tail] + w
+        seg_min = np.minimum.reduceat(cand, red_starts)
+        improved = seg_min < dist[red_heads] - eps
+        if not improved.any():
+            return (), rounds
+        seg_full = np.repeat(seg_min, red_counts)
+        seg_argmin = np.minimum.reduceat(
+            np.where(cand <= seg_full, slots, m), red_starts
+        )
+        heads = red_heads[improved]
+        dist[heads] = seg_min[improved]
+        pred[heads] = seg_argmin[improved]
+        if rounds % check_every == 0 or rounds >= n:
+            cycle_slots = _predecessor_cycle(pred, in_tail, n)
+            if cycle_slots is not None:
+                cycle = [int(order[s]) for s in cycle_slots]
+                first = cycle.index(min(cycle))
+                return tuple(cycle[first:] + cycle[:first]), rounds
+    raise SolverError(  # pragma: no cover - relaxation must settle by 3|V|
+        f"Bellman-Ford did not settle within {max_rounds} rounds"
     )
 
 
-def _fallback_to_least_arrays(
-    system: MaxPlusSystem, method: str
-) -> FixpointResult:
-    exact = least_fixpoint_arrays(system, method="event")
-    _record_slide(trace.is_enabled(), exact.iterations, 0.0, None)
-    return FixpointResult(
-        values=exact.values,
-        iterations=exact.iterations,
-        method=f"{method}+least-fixpoint",
-        converged=True,
-        residual=0.0,
+def find_positive_cycle(
+    system: MaxPlusSystem, tol: float = 1e-9
+) -> list[str] | None:
+    """The node sequence of a positive-weight cycle of ``system``, or None.
+
+    A positive max-plus cycle is a negative cycle under negated weights,
+    so this is :func:`find_negative_cycle` on the compiled fanin arrays,
+    every node starting at 0.  Arcs with a frozen endpoint weigh
+    ``+inf``: frozen nodes never propagate an increase.  The cycle starts
+    at its lowest arc index and is returned only once its arc weights
+    re-sum positive.
+    """
+    comp = compile_system(system)
+    st = comp.structure
+    blocked = st.frozen_mask[st.in_src] | st.frozen_mask[st.in_dst]
+    cycle, _ = find_negative_cycle(
+        st.in_src,
+        st.red_nodes,
+        st.red_starts,
+        np.diff(st.in_ptr)[st.red_nodes],
+        st.in_order,
+        np.where(blocked, np.inf, -comp.in_weight),
+        np.zeros(st.n),
+        tol,
     )
+    arcs = [system.arcs[i] for i in cycle]
+    if not arcs or sum(arc.weight for arc in arcs) <= 0.0:
+        return None
+    return [arc.src for arc in arcs]

@@ -15,12 +15,15 @@ Both support Jacobi (the paper's listing), Gauss-Seidel, and event-driven
 worklist iteration (the paper's suggested enhancement).
 
 Each entry point takes a ``kernel`` argument selecting the execution
-engine: ``"dict"`` (this module's reference implementation over Python
-dicts), ``"array"`` (the compiled numpy kernels in
-:mod:`repro.maxplus.compiled`), or ``"auto"``, which switches to arrays
-on systems large enough for the lowering to pay off -- and only for the
-methods whose array kernel is bit-identical to the dict kernel, so the
-choice can never change a reported value.
+engine for the sweep methods: ``"dict"`` (this module's reference
+implementation over Python dicts), ``"array"`` (the compiled numpy
+kernels in :mod:`repro.maxplus.compiled`), or ``"auto"``, which switches
+to arrays on systems large enough for the lowering to pay off.  The
+array kernels are bit-identical to the dict kernels, so the choice can
+never change a reported value.  The event worklist always runs on dicts.
+
+A divergence is named by the vectorized Bellman-Ford that the cycle
+engine uses (:func:`repro.maxplus.compiled.find_positive_cycle`).
 """
 
 from __future__ import annotations
@@ -72,20 +75,20 @@ def _check_kernel(kernel: str) -> None:
 def _use_array(system: MaxPlusSystem, method: str, kernel: str) -> bool:
     """Decide whether to run the compiled numpy kernel.
 
-    ``"auto"`` only ever picks an array kernel that is bit-identical to
-    the dict kernel (Jacobi always; blocked Gauss-Seidel when the run
-    structure is wide enough to amortize the per-run dispatch).  The
-    event worklist agrees only to within ``tol``, so auto keeps it on
-    dicts; request ``kernel="array"`` explicitly to vectorize it.
+    The event worklist has no array kernel.  For the sweep methods
+    ``"array"`` always lowers, and ``"auto"`` lowers Jacobi on large
+    systems and blocked Gauss-Seidel when the run structure is also wide
+    enough to amortize the per-run dispatch.  Either way the result is
+    bit-identical to the dict kernel's.
     """
+    if method == "event" or kernel == "dict":
+        return False
     if kernel == "array":
         return True
-    if kernel != "auto":
-        return False
     from repro.maxplus import compiled
 
     n = len(system.nodes)
-    if n < compiled.AUTO_ARRAY_MIN_NODES or method == "event":
+    if n < compiled.AUTO_ARRAY_MIN_NODES:
         return False
     if method == "jacobi":
         return True
@@ -308,7 +311,7 @@ def _fallback_to_least(system: MaxPlusSystem, method: str) -> FixpointResult:
 
 
 def _raise_divergent(system: MaxPlusSystem) -> None:
-    from repro.maxplus.cycles import find_positive_cycle
+    from repro.maxplus.compiled import find_positive_cycle
 
     cycle = find_positive_cycle(system)
     if cycle:

@@ -4,10 +4,10 @@ The contract under test (see :mod:`repro.maxplus.compiled`):
 
 * Jacobi and Gauss-Seidel array kernels are *bit-identical* to the dict
   kernels -- same values, same iteration counts, same convergence flags,
-  same residuals -- on any system, including randomized circuits.
-* The event array kernel agrees on values to within the update tolerance
-  (its round-based frontier visits nodes in a different order, so
-  ``iterations`` may differ).
+  same residuals -- on any system, including randomized circuits, and
+  so is the sweep-cap fallback to the exact least fixpoint.
+* The event worklist has no array kernel: every ``kernel`` runs the dict
+  worklist.
 * Divergence (positive-weight cycle) is detected by every kernel/method
   combination.
 * The structure cache shares index arrays across systems that differ only
@@ -24,7 +24,7 @@ from repro.core.constraints import build_maxplus_system
 from repro.core.mlp import MLPOptions, minimize_cycle_time
 from repro.errors import AnalysisError, DivergentTimingError
 from repro.maxplus import compiled
-from repro.maxplus.cycles import find_positive_cycle
+from repro.maxplus.compiled import find_positive_cycle
 from repro.maxplus.fixpoint import least_fixpoint, slide
 from repro.maxplus.system import MaxPlusSystem, WeightedArc
 
@@ -88,26 +88,13 @@ class TestLeastFixpointAgreement:
             out = least_fixpoint(system, method=method, kernel="array")
             assert_identical(out, ref)
 
-    @settings(max_examples=60, deadline=None)
-    @given(random_system())
-    def test_event_values_agree(self, system):
-        try:
-            ref = least_fixpoint(system, method="event", kernel="dict")
-        except DivergentTimingError:
-            with pytest.raises(DivergentTimingError):
-                least_fixpoint(system, method="event", kernel="array")
-            return
-        out = least_fixpoint(system, method="event", kernel="array")
-        assert out.values == pytest.approx(ref.values, abs=1e-9)
-        assert out.converged and ref.converged
-
     @settings(max_examples=40, deadline=None)
     @given(random_system())
     def test_divergence_detected_by_every_kernel(self, system):
         if find_positive_cycle(system) is None:
             return
         for method in ALL_METHODS:
-            for kernel in ("dict", "array"):
+            for kernel in ("dict", "array", "auto"):
                 with pytest.raises(DivergentTimingError):
                     least_fixpoint(system, method=method, kernel=kernel)
 
@@ -141,29 +128,12 @@ class TestSlideAgreement:
         base = least_fixpoint(system).values
         start = {k: v + bump for k, v in base.items()}
         for method in EXACT_METHODS:
-            ref = slide(system, start, method=method, kernel="dict")
-            out = slide(system, start, method=method, kernel="array")
-            if ref.method.endswith("+least-fixpoint"):
-                # Sweep-cap fallback: both kernels return the exact least
-                # fixpoint via their event worklist, whose update count is
-                # order-dependent -- compare everything but iterations.
-                assert out.method == ref.method
-                assert out.values == pytest.approx(ref.values, abs=1e-9)
-                assert out.converged and ref.converged
-                assert out.residual == ref.residual == 0.0
-            else:
-                assert_identical(out, ref)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_system(), st.integers(0, 50))
-    def test_event_values_agree(self, system, bump):
-        if find_positive_cycle(system) is not None:
-            return
-        base = least_fixpoint(system).values
-        start = {k: v + bump for k, v in base.items()}
-        ref = slide(system, start, method="event", kernel="dict")
-        out = slide(system, start, method="event", kernel="array")
-        assert out.values == pytest.approx(ref.values, abs=1e-9)
+            # Including the sweep-cap fallback, which both kernels hand to
+            # the dict worklist's exact least fixpoint.
+            assert_identical(
+                slide(system, start, method=method, kernel="array"),
+                slide(system, start, method=method, kernel="dict"),
+            )
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_sweep_cap_falls_back_like_dict(self, method):
@@ -176,9 +146,8 @@ class TestSlideAgreement:
         start = {"a": 1000.0, "b": 1010.0}
         ref = slide(system, start, method=method, max_sweeps=5, kernel="dict")
         out = slide(system, start, method=method, max_sweeps=5, kernel="array")
-        assert out.method == ref.method == f"{method}+least-fixpoint"
-        assert out.values == pytest.approx(ref.values, abs=1e-9)
-        assert out.converged and ref.converged
+        assert ref.method == f"{method}+least-fixpoint"
+        assert_identical(out, ref)
 
     def test_frozen_nodes_pinned(self):
         system = MaxPlusSystem(
@@ -215,6 +184,25 @@ class TestKernelDispatch:
                 least_fixpoint(system, method=method, kernel="auto"),
                 least_fixpoint(system, method=method, kernel="dict"),
             )
+
+    def test_auto_sweep_cap_fallback_identical(self):
+        # The geometric a <-> b loop feeding a 70-node chain: Jacobi goes
+        # to arrays on auto, hits the sweep cap, and falls back to the
+        # dict worklist's least fixpoint (71 node updates) like dict does.
+        chain = [f"c{i}" for i in range(70)]
+        arcs = [
+            WeightedArc("a", "b", 10.0),
+            WeightedArc("b", "a", -10.5),
+            WeightedArc("b", chain[0], 1.0),
+        ]
+        arcs += [WeightedArc(x, y, 1.0) for x, y in zip(chain, chain[1:])]
+        system = MaxPlusSystem(nodes=["a", "b"] + chain, arcs=arcs)
+        assert len(system.nodes) >= compiled.AUTO_ARRAY_MIN_NODES
+        start = {"a": 1000.0, "b": 1010.0, **{c: 2000.0 for c in chain}}
+        ref = slide(system, start, method="jacobi", max_sweeps=5, kernel="dict")
+        out = slide(system, start, method="jacobi", max_sweeps=5, kernel="auto")
+        assert ref.method == "jacobi+least-fixpoint"
+        assert_identical(out, ref)
 
     def test_minimize_cycle_time_kernel_invariant(self):
         graph = random_multiloop_circuit(72, n_extra_arcs=36, seed=7)
